@@ -9,26 +9,63 @@ syntax the kernel needs:
   (``li``, ``la``, ``mv``, ``call``, ``ret``, ``beqz``...),
 * directives: ``.org``, ``.align``, ``.word``, ``.half``, ``.byte``,
   ``.space``/``.zero``, ``.asciz``, ``.equ``/``.set``, ``.globl`` (ignored),
-* constant expressions with ``+ - * / << >> & | ^ ~`` and ``%hi()``/``%lo()``,
+* constant expressions with ``+ - * / % << >> & | ^ ~`` and
+  ``%hi()``/``%lo()``,
 * RTOSUnit custom instructions (``add_ready``, ``get_hw_sched``, ...),
 * ``#@ key value`` annotation comments, recorded against the next
   instruction's address (used by the WCET analyzer for loop bounds).
+
+Every kernel variant is rendered as its own source, yet the variants share
+almost all of their lines. The assembler therefore memoises, per process,
+everything that depends on text alone:
+
+* each distinct source line is split and parsed once (:data:`_LINES`);
+* each distinct expression is compiled once into a closure over the
+  symbol table (:data:`_EXPRS`); integer literals and bare symbols skip
+  :mod:`ast` altogether;
+* each instruction is encoded once per key (:data:`_ENCODED`): its text,
+  its address when the encoding is pc-relative, and the values of the
+  symbols it reads.
+
+The memo is bounded and invisible: a memoised assembly returns the same
+:class:`Program` as a cold one, returned programs share no mutable object,
+and a malformed line raises on every call. :func:`reset_memo` (called by
+:func:`repro.kernel.builder.reset_program_cache`) empties it.
 """
 
 from __future__ import annotations
 
 import ast
+import operator
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from repro.errors import AssemblerError
+from repro.errors import AssemblerError, DecodeError
 from repro.isa.csr import CSR_NAMES
-from repro.isa.custom import CUSTOM_BY_MNEMONIC, CustomOp
+from repro.isa.custom import CUSTOM_BY_MNEMONIC
 from repro.isa.encoding import encode
-from repro.isa.instructions import FMT_B, FMT_CUSTOM, SPECS, Instr
+from repro.isa.instructions import FMT_B, FMT_CUSTOM, LOADS, SPECS, Instr
 from repro.isa.registers import reg_num
+from repro.util.lru import LRUCache
 
 MASK32 = 0xFFFFFFFF
+
+#: Capacity of each memo. All of the paper's artifacts together need 962
+#: lines, 349 expressions and 1,727 encodings, so eviction only bounds a
+#: long-lived process that is fed arbitrary sources.
+MEMO_CAPACITY = 1 << 14
+
+_LINES: LRUCache = LRUCache(MEMO_CAPACITY)    # raw line -> _Line
+_EXPRS: LRUCache = LRUCache(MEMO_CAPACITY)    # expression text -> _Expr
+_ENCODED: LRUCache = LRUCache(MEMO_CAPACITY)  # (text, pc, values) -> words
+
+
+def reset_memo() -> None:
+    """Forget every memoised line, expression and encoding."""
+    _LINES.clear()
+    _EXPRS.clear()
+    _ENCODED.clear()
 
 
 @dataclass
@@ -76,104 +113,141 @@ class Program:
         return merged
 
 
-@dataclass
-class _Statement:
-    """One instruction or data directive scheduled for pass 2."""
+# -- expressions --------------------------------------------------------------
 
-    kind: str  # "instr", "word", "space"
-    addr: int
-    line_no: int
-    source: str
-    mnemonic: str = ""
-    operands: tuple[str, ...] = ()
-    value_expr: str = ""
-    size: int = 4
-    annotations: dict[str, str] = field(default_factory=dict)
-
-
+_SYMBOL_RE = re.compile(r"[A-Za-z_.$][\w.$]*")
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
-_ALLOWED_AST = (
-    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
-    ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Div, ast.Mod,
-    ast.LShift, ast.RShift, ast.BitAnd, ast.BitOr, ast.BitXor,
-    ast.Invert, ast.USub, ast.UAdd, ast.Call, ast.Load,
-)
+_CHAR_RE = re.compile(r"'(\\?.)'")
 
 
-class _ExprEvaluator:
-    """Safe evaluator for assembler constant expressions."""
+class _Expr(NamedTuple):
+    """A compiled expression: ``fn(symbols)`` and the symbols it reads."""
 
-    def __init__(self, symbols: dict[str, int]):
-        self.symbols = symbols
+    fn: Callable[[dict[str, int]], int]
+    names: tuple[str, ...]
 
-    def eval(self, text: str) -> int:
-        text = text.strip()
-        # Fast path: a bare symbol. This also makes labels that happen to
-        # collide with Python keywords ('as', 'in', ...) work — the AST
-        # parser below could not handle them.
-        if text in self.symbols:
-            return self.symbols[text]
-        # %hi(expr) / %lo(expr) → function-call syntax the parser accepts.
-        text = text.replace("%hi(", "__hi__(").replace("%lo(", "__lo__(")
-        # Character literals: 'a' → ordinal.
-        text = re.sub(r"'(\\?.)'", lambda m: str(_char_value(m.group(1))), text)
+
+def _floordiv(lhs: int, rhs: int) -> int:
+    if rhs == 0:
+        raise AssemblerError("division by zero")
+    return lhs // rhs
+
+
+def _mod(lhs: int, rhs: int) -> int:
+    if rhs == 0:
+        raise AssemblerError("modulo by zero")
+    return lhs % rhs
+
+
+def _lshift(lhs: int, rhs: int) -> int:
+    if rhs < 0:
+        raise AssemblerError(f"negative shift count {rhs}")
+    return lhs << rhs
+
+
+def _rshift(lhs: int, rhs: int) -> int:
+    if rhs < 0:
+        raise AssemblerError(f"negative shift count {rhs}")
+    return lhs >> rhs
+
+
+def _hi(value: int) -> int:
+    # Compensate for the sign-extension of the low 12 bits.
+    return ((value + 0x800) >> 12) & 0xFFFFF
+
+
+def _lo(value: int) -> int:
+    low = value & 0xFFF
+    return low - 0x1000 if low >= 0x800 else low
+
+
+_BINARY = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: _floordiv, ast.FloorDiv: _floordiv, ast.Mod: _mod,
+    ast.LShift: _lshift, ast.RShift: _rshift, ast.BitAnd: operator.and_,
+    ast.BitOr: operator.or_, ast.BitXor: operator.xor,
+}
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos,
+          ast.Invert: operator.invert}
+_RELOCATIONS = {"__hi__": _hi, "__lo__": _lo}
+
+
+def _compile(text: str) -> _Expr:
+    """The compiled form of expression *text* (memoised)."""
+    expr = _EXPRS.get(text)
+    if expr is None:
+        expr = _EXPRS[text] = _compile_uncached(text)
+    return expr
+
+
+def _compile_uncached(text: str) -> _Expr:
+    text = text.strip()
+    # A bare symbol. This also makes labels that happen to collide with
+    # Python keywords ('as', 'in', ...) work; ast could not parse them.
+    if _SYMBOL_RE.fullmatch(text):
+        return _Expr(_lookup(text), (text,))
+    # Character literals: 'a' -> ordinal.
+    text = _CHAR_RE.sub(lambda m: str(_char_value(m.group(1))), text)
+    if text.isascii():
         try:
-            tree = ast.parse(text, mode="eval")
-        except SyntaxError as exc:
-            raise AssemblerError(f"bad expression {text!r}: {exc}") from None
-        for node in ast.walk(tree):
-            if not isinstance(node, _ALLOWED_AST):
-                raise AssemblerError(
-                    f"disallowed construct {type(node).__name__} in {text!r}")
-        return self._eval_node(tree.body)
+            value = int(text, 0)
+        except ValueError:
+            pass
+        else:
+            return _Expr(lambda symbols: value, ())
+    # %hi(expr) / %lo(expr) -> function-call syntax the parser accepts.
+    source = text.replace("%hi(", "__hi__(").replace("%lo(", "__lo__(")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise AssemblerError(f"bad expression {text!r}: {exc}") from None
+    names: set[str] = set()
+    try:
+        fn = _build(tree.body, names)
+    except AssemblerError as exc:
+        raise AssemblerError(f"{exc.message} in {text!r}") from None
+    except RecursionError:
+        raise AssemblerError(
+            f"expression nested too deeply: {text!r}") from None
+    return _Expr(fn, tuple(sorted(names)))
 
-    def _eval_node(self, node: ast.AST) -> int:
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, int):
-                raise AssemblerError(f"non-integer constant {node.value!r}")
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id in self.symbols:
-                return self.symbols[node.id]
-            raise AssemblerError(f"undefined symbol {node.id!r}")
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or len(node.args) != 1:
-                raise AssemblerError("only %hi()/%lo() calls are allowed")
-            arg = self._eval_node(node.args[0]) & MASK32
-            if node.func.id == "__hi__":
-                # Compensate for the sign-extension of the low 12 bits.
-                return ((arg + 0x800) >> 12) & 0xFFFFF
-            if node.func.id == "__lo__":
-                low = arg & 0xFFF
-                return low - 0x1000 if low >= 0x800 else low
-            raise AssemblerError(f"unknown function {node.func.id!r}")
-        if isinstance(node, ast.UnaryOp):
-            val = self._eval_node(node.operand)
-            if isinstance(node.op, ast.USub):
-                return -val
-            if isinstance(node.op, ast.Invert):
-                return ~val
-            return val
-        if isinstance(node, ast.BinOp):
-            lhs, rhs = self._eval_node(node.left), self._eval_node(node.right)
-            ops = {
-                ast.Add: lambda: lhs + rhs,
-                ast.Sub: lambda: lhs - rhs,
-                ast.Mult: lambda: lhs * rhs,
-                ast.FloorDiv: lambda: lhs // rhs,
-                ast.Div: lambda: lhs // rhs,
-                ast.Mod: lambda: lhs % rhs,
-                ast.LShift: lambda: lhs << rhs,
-                ast.RShift: lambda: lhs >> rhs,
-                ast.BitAnd: lambda: lhs & rhs,
-                ast.BitOr: lambda: lhs | rhs,
-                ast.BitXor: lambda: lhs ^ rhs,
-            }
-            fn = ops.get(type(node.op))
-            if fn is None:
-                raise AssemblerError(f"unsupported operator {node.op!r}")
-            return fn()
-        raise AssemblerError(f"unsupported expression node {node!r}")
+
+def _lookup(name: str) -> Callable[[dict[str, int]], int]:
+    def lookup(symbols: dict[str, int]) -> int:
+        try:
+            return symbols[name]
+        except KeyError:
+            raise AssemblerError(f"undefined symbol {name!r}") from None
+    return lookup
+
+
+def _build(node: ast.AST, names: set[str]) -> Callable[[dict[str, int]], int]:
+    """Validate *node* and close over its operands, once per expression."""
+    if isinstance(node, ast.Constant):
+        value = node.value
+        if type(value) is not int:  # bool is an int subclass: reject it
+            raise AssemblerError(f"non-integer constant {value!r}")
+        return lambda symbols: value
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+        return _lookup(node.id)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        unary = _UNARY[type(node.op)]
+        operand = _build(node.operand, names)
+        return lambda symbols: unary(operand(symbols))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        binary = _BINARY[type(node.op)]
+        lhs, rhs = _build(node.left, names), _build(node.right, names)
+        return lambda symbols: binary(lhs(symbols), rhs(symbols))
+    if isinstance(node, ast.Call):
+        if (not isinstance(node.func, ast.Name)
+                or node.func.id not in _RELOCATIONS
+                or len(node.args) != 1 or node.keywords):
+            raise AssemblerError("only %hi()/%lo() calls are allowed")
+        relocation = _RELOCATIONS[node.func.id]
+        arg = _build(node.args[0], names)
+        return lambda symbols: relocation(arg(symbols) & MASK32)
+    raise AssemblerError(f"disallowed construct {type(node).__name__}")
 
 
 def _char_value(text: str) -> int:
@@ -181,6 +255,171 @@ def _char_value(text: str) -> int:
     if text in escapes:
         return escapes[text]
     return ord(text)
+
+
+class _ExprEvaluator:
+    """Evaluates expressions against a symbol table.
+
+    ``pc`` is the address of the instruction being expanded. Only
+    :meth:`target` reads it, so :class:`_Dependencies` sees every
+    expansion that depends on its own address.
+    """
+
+    def __init__(self, symbols: dict[str, int], pc: int = 0):
+        self.symbols = symbols
+        self.pc = pc
+
+    def eval(self, text: str) -> int:
+        return _compile(text).fn(self.symbols)
+
+    def target(self, text: str) -> int:
+        """The offset from the current instruction to *text*."""
+        return self.eval(text) - self.pc
+
+
+class _Dependencies:
+    """Stands in for the evaluator in a dry-run expansion.
+
+    Records the symbols an instruction reads and whether it reads its own
+    address, and yields 0 for every value. Which operands an expansion
+    evaluates depends on its text only, never on the values.
+    """
+
+    def __init__(self):
+        self.names: set[str] = set()
+        self.pcrel = False
+
+    def eval(self, text: str) -> int:
+        self.names.update(_compile(text).names)
+        return 0
+
+    def target(self, text: str) -> int:
+        self.pcrel = True
+        return self.eval(text)
+
+
+# -- lines --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Line:
+    """One source line, split and parsed (memoised per distinct line).
+
+    ``text`` is the statement without labels and comment. An instruction
+    has a ``mnemonic`` and ``operands``, its ``size`` after pseudo
+    expansion and what its encoding reads (``names``, ``pcrel``). A
+    directive has a ``directive`` name, its compiled expressions
+    (``exprs``), the ``symbol`` an ``.equ`` defines and the bytes of an
+    ``.asciz`` (``data``).
+    """
+
+    labels: tuple[str, ...] = ()
+    annotation: tuple[str, str] | None = None
+    text: str = ""
+    mnemonic: str = ""
+    operands: tuple[str, ...] = ()
+    size: int = 0
+    names: tuple[str, ...] = ()
+    pcrel: bool = False
+    directive: str = ""
+    exprs: tuple[_Expr, ...] = ()
+    symbol: str = ""
+    data: bytes = b""
+
+
+_IGNORED_DIRECTIVES = frozenset((".globl", ".global", ".text", ".data",
+                                 ".section", ".option", ".type", ".size"))
+_DATA_UNITS = {".word": 4, ".half": 2, ".byte": 1}
+
+#: Operand counts each mnemonic accepts.
+_FORMAT_ARITY = {"R": (3,), "I": (3,), "S": (2,), "B": (3,), "U": (2,),
+                 "J": (1, 2), "CSR": (3,), "CSRI": (3,), "SYS": (0,)}
+_ARITY: dict[str, tuple[int, ...]] = {
+    **{m: _FORMAT_ARITY[spec.fmt] for m, spec in SPECS.items()},
+    **{m: (2,) for m in LOADS},
+    "jalr": (1, 2, 3),
+    **{m: (spec.writes_rd + spec.uses_rs1 + spec.uses_rs2,)
+       for m, spec in CUSTOM_BY_MNEMONIC.items()},
+    "nop": (0,), "ret": (0,), "j": (1,), "jr": (1,), "call": (1,),
+    "tail": (1,), "bgt": (3,), "ble": (3,), "bgtu": (3,), "bleu": (3,),
+    **{m: (2,) for m in (
+        "mv", "not", "neg", "seqz", "snez", "sltz", "sgtz", "li", "la",
+        "beqz", "bnez", "bltz", "bgez", "blez", "bgtz", "csrr", "csrw",
+        "csrs", "csrc", "csrwi", "csrsi", "csrci")},
+}
+
+
+def _parse_line(raw: str) -> _Line:
+    code, annotation = _split_comment(raw)
+    note = None
+    if annotation:
+        key, _, value = annotation.partition(" ")
+        note = (key.strip(), value.strip())
+    code = code.strip()
+    labels = []
+    while (match := _LABEL_RE.match(code)) is not None:
+        labels.append(match.group(1))
+        code = code[match.end():].strip()
+    if not code:
+        return _Line(tuple(labels), note)
+    if code.startswith("."):
+        return _parse_directive(code, tuple(labels), note)
+    mnemonic, operands = _split_instr(code)
+    arity = _ARITY.get(mnemonic)
+    if arity is None:
+        raise AssemblerError(f"unknown mnemonic {mnemonic!r}")
+    if len(operands) not in arity:
+        expected = " or ".join(map(str, arity))
+        raise AssemblerError(
+            f"{mnemonic} takes {expected} operand(s), got {len(operands)}")
+    size = _pseudo_size(mnemonic, operands)
+    deps = _Dependencies()
+    _expand(mnemonic, operands, size, deps)
+    return _Line(tuple(labels), note, code, mnemonic=mnemonic,
+                 operands=operands, size=size,
+                 names=tuple(sorted(deps.names)), pcrel=deps.pcrel)
+
+
+def _parse_directive(code: str, labels: tuple[str, ...],
+                     note: tuple[str, str] | None) -> _Line:
+    name, _, rest = code.partition(" ")
+    rest = rest.strip()
+    if name in _IGNORED_DIRECTIVES:
+        return _Line(labels, note)
+    if name in (".equ", ".set"):
+        symbol, _, expr = rest.partition(",")
+        symbol = symbol.strip()
+        if not _SYMBOL_RE.fullmatch(symbol):
+            raise AssemblerError(f"bad symbol name {symbol!r}")
+        return _Line(labels, note, code, directive=name,
+                     exprs=(_compile(expr),), symbol=symbol)
+    if name in _DATA_UNITS:
+        exprs = tuple(map(_compile, _split_operands(rest)))
+    elif name in (".org", ".align", ".space", ".zero"):
+        exprs = (_compile(rest),)
+    elif name == ".asciz":
+        try:
+            text = ast.literal_eval(rest)
+            if not isinstance(text, str):
+                raise TypeError
+            data = text.encode() + b"\0"
+        except (ValueError, TypeError, SyntaxError, MemoryError,
+                RecursionError):
+            raise AssemblerError(
+                f".asciz needs a string literal, got {rest!r}") from None
+        return _Line(labels, note, code, directive=name, data=data)
+    else:
+        raise AssemblerError(f"unknown directive {name!r}")
+    return _Line(labels, note, code, directive=name, exprs=exprs)
+
+
+def _located(exc: Exception, line_no: int, text: str) -> AssemblerError:
+    """*exc* as an :class:`AssemblerError` that names its source line."""
+    if isinstance(exc, AssemblerError):
+        if exc.line is not None:
+            return exc
+        return AssemblerError(exc.message, line_no, text)
+    return AssemblerError(str(exc), line_no, text)
 
 
 class Assembler:
@@ -199,145 +438,138 @@ class Assembler:
 
     # -- pass 1: layout ----------------------------------------------------
 
-    def _pass1(self, source: str, program: Program) -> list[_Statement]:
-        statements: list[_Statement] = []
-        pc = self.origin
-        pending_annotations: dict[str, str] = {}
-        for line_no, raw_line in enumerate(source.splitlines(), start=1):
-            line, annotation = _split_comment(raw_line)
-            if annotation:
-                key, _, value = annotation.partition(" ")
-                pending_annotations[key.strip()] = value.strip()
-            line = line.strip()
-            if not line:
-                continue
-            while True:
-                match = _LABEL_RE.match(line)
-                if not match:
-                    break
-                label = match.group(1)
-                if label in program.symbols:
-                    raise AssemblerError(
-                        f"duplicate label {label!r}", line_no, raw_line)
-                program.symbols[label] = pc
-                line = line[match.end():].strip()
-            if not line:
-                continue
-            if line.startswith("."):
-                pc = self._directive_pass1(
-                    line, pc, program, statements, line_no, raw_line)
-                continue
-            mnemonic, operands = _split_instr(line)
-            size = _pseudo_size(mnemonic, operands)
-            stmt = _Statement(
-                kind="instr", addr=pc, line_no=line_no, source=line,
-                mnemonic=mnemonic, operands=operands, size=size,
-                annotations=pending_annotations)
-            pending_annotations = {}
-            statements.append(stmt)
-            pc += size
-        return statements
+    def _pass1(self, source: str, program: Program) -> list[tuple]:
+        """Lay out *source*: define labels and equates, place statements.
 
-    def _directive_pass1(
-        self,
-        line: str,
-        pc: int,
-        program: Program,
-        statements: list[_Statement],
-        line_no: int,
-        raw: str,
-    ) -> int:
-        name, _, rest = line.partition(" ")
-        rest = rest.strip()
-        evaluator = _ExprEvaluator(program.symbols)
-        if name in (".globl", ".global", ".text", ".data", ".section",
-                    ".option", ".type", ".size"):
-            return pc
-        if name == ".org":
-            target = evaluator.eval(rest)
-            if target < pc:
-                raise AssemblerError(
-                    f".org {target:#x} moves backwards from {pc:#x}",
-                    line_no, raw)
-            return target
-        if name == ".align":
-            bits = evaluator.eval(rest)
-            mask = (1 << bits) - 1
-            return (pc + mask) & ~mask
-        if name in (".equ", ".set"):
-            sym, _, expr = rest.partition(",")
-            program.symbols[sym.strip()] = evaluator.eval(expr)
-            return pc
-        if name in (".word", ".half", ".byte"):
-            unit = {"word": 4, "half": 2, "byte": 1}[name[1:]]
-            exprs = _split_operands(rest)
-            for expr in exprs:
-                statements.append(_Statement(
-                    kind="word", addr=pc, line_no=line_no, source=line,
-                    value_expr=expr, size=unit))
-                pc += unit
-            return pc
-        if name in (".space", ".zero"):
-            size = evaluator.eval(rest)
-            statements.append(_Statement(
-                kind="space", addr=pc, line_no=line_no, source=line,
-                size=size))
-            return pc + size
-        if name == ".asciz":
-            text = ast.literal_eval(rest)
-            data = text.encode() + b"\0"
-            for i, byte in enumerate(data):
-                statements.append(_Statement(
-                    kind="word", addr=pc + i, line_no=line_no, source=line,
-                    value_expr=str(byte), size=1))
-            return pc + len(data)
-        raise AssemblerError(f"unknown directive {name!r}", line_no, raw)
+        Returns ``(addr, line_no, line, extra)`` per instruction or data
+        line, where ``extra`` is an instruction's annotations or the size
+        of a ``.space``.
+        """
+        statements: list[tuple] = []
+        symbols = program.symbols
+        pc = self.origin
+        pending: dict[str, str] | None = None
+        for line_no, raw in enumerate(source.splitlines(), start=1):
+            line = _LINES.get(raw)
+            if line is None:
+                try:
+                    line = _parse_line(raw)
+                except AssemblerError as exc:
+                    raise _located(exc, line_no, raw) from None
+                _LINES[raw] = line
+            if line.annotation is not None:
+                if pending is None:
+                    pending = {}
+                key, value = line.annotation
+                pending[key] = value
+            for label in line.labels:
+                if label in symbols:
+                    raise AssemblerError(
+                        f"duplicate label {label!r}", line_no, raw)
+                symbols[label] = pc
+            if line.mnemonic:
+                statements.append((pc, line_no, line, pending))
+                pending = None
+                pc += line.size
+            elif line.directive:
+                try:
+                    pc = _directive_pass1(line, pc, symbols, statements,
+                                          line_no)
+                except AssemblerError as exc:
+                    raise _located(exc, line_no, raw) from None
+        return statements
 
     # -- pass 2: encoding --------------------------------------------------
 
-    def _pass2(self, statements: list[_Statement], program: Program) -> None:
-        evaluator = _ExprEvaluator(program.symbols)
-        for stmt in statements:
-            if stmt.kind == "space":
-                for offset in range(0, stmt.size, 4):
-                    _store_bytes(program, stmt.addr + offset,
-                                 min(4, stmt.size - offset), 0)
-                continue
-            if stmt.kind == "word":
-                value = evaluator.eval(stmt.value_expr)
-                _store_bytes(program, stmt.addr, stmt.size, value)
-                continue
+    def _pass2(self, statements: list[tuple], program: Program) -> None:
+        symbols = program.symbols
+        lookup = symbols.get
+        words = program.words
+        source_map = program.source_map
+        for addr, line_no, line, extra in statements:
             try:
-                instrs = _expand(stmt, evaluator)
-            except AssemblerError as exc:
-                raise AssemblerError(
-                    str(exc), stmt.line_no, stmt.source) from None
-            offset = 0
-            for instr in instrs:
-                addr = stmt.addr + offset
-                instr.addr = addr
-                word = encode(instr)
-                _store_word(program, addr, word)
-                program.source_map[addr] = stmt.source
-                offset += 4
-            if stmt.annotations:
-                program.annotations[stmt.addr] = stmt.annotations
-            if len(instrs) * 4 != stmt.size:
-                raise AssemblerError(
-                    f"pseudo expansion size changed between passes for "
-                    f"{stmt.mnemonic!r}", stmt.line_no, stmt.source)
+                if not line.mnemonic:
+                    _store_data(program, addr, line, extra)
+                    continue
+                key = (line.text, addr if line.pcrel else None,
+                       tuple(map(lookup, line.names)))
+                encoded = _ENCODED.get(key)
+                if encoded is None:
+                    encoded = _ENCODED[key] = _encode(line, addr, symbols)
+                if extra:
+                    program.annotations[addr] = extra
+                for word in encoded:
+                    if addr & 3:
+                        raise AssemblerError(f"misaligned word at {addr:#x}")
+                    if addr in words:
+                        raise AssemblerError(f"overlapping data at {addr:#x}")
+                    words[addr] = word
+                    source_map[addr] = line.text
+                    addr += 4
+            except (AssemblerError, DecodeError) as exc:
+                raise _located(exc, line_no, line.text) from None
 
 
-def _store_word(program: Program, addr: int, word: int) -> None:
-    if addr & 3:
-        raise AssemblerError(f"misaligned word at {addr:#x}")
-    if addr in program.words:
-        raise AssemblerError(f"overlapping data at {addr:#x}")
-    program.words[addr] = word & MASK32
+def _directive_pass1(line: _Line, pc: int, symbols: dict[str, int],
+                     statements: list[tuple], line_no: int) -> int:
+    name = line.directive
+    if name in (".equ", ".set"):
+        symbols[line.symbol] = line.exprs[0].fn(symbols)
+        return pc
+    if name in _DATA_UNITS:
+        statements.append((pc, line_no, line, None))
+        return pc + _DATA_UNITS[name] * len(line.exprs)
+    if name == ".asciz":
+        statements.append((pc, line_no, line, None))
+        return pc + len(line.data)
+    value = line.exprs[0].fn(symbols)
+    if name == ".org":
+        if value < pc:
+            raise AssemblerError(
+                f".org {value:#x} moves backwards from {pc:#x}")
+        return value
+    if value < 0:
+        raise AssemblerError(f"{name} {value} is negative")
+    if name == ".align":
+        mask = (1 << value) - 1
+        return (pc + mask) & ~mask
+    statements.append((pc, line_no, line, value))  # .space / .zero
+    return pc + value
+
+
+def _encode(line: _Line, addr: int,
+            symbols: dict[str, int]) -> tuple[int, ...]:
+    instrs = _expand(line.mnemonic, line.operands, line.size,
+                     _ExprEvaluator(symbols, addr))
+    if len(instrs) * 4 != line.size:
+        raise AssemblerError(
+            f"pseudo expansion size changed between passes for "
+            f"{line.mnemonic!r}")
+    return tuple(encode(instr) & MASK32 for instr in instrs)
+
+
+def _store_data(program: Program, addr: int, line: _Line, extra) -> None:
+    """Emit one data directive placed at *addr* by pass 1."""
+    name = line.directive
+    if name == ".asciz":
+        for offset, byte in enumerate(line.data):
+            _store_bytes(program, addr + offset, 1, byte)
+    elif name in _DATA_UNITS:
+        unit = _DATA_UNITS[name]
+        symbols = program.symbols
+        for expr in line.exprs:
+            _store_bytes(program, addr, unit, expr.fn(symbols))
+            addr += unit
+    else:  # .space / .zero of ``extra`` bytes
+        for offset in range(0, extra, 4):
+            _store_bytes(program, addr + offset, min(4, extra - offset), 0)
 
 
 def _store_bytes(program: Program, addr: int, size: int, value: int) -> None:
     """Merge a .byte/.half/.word value into the word map."""
+    if size == 4 and not addr & 3:
+        program.words[addr] = value & MASK32
+        return
     for i in range(size):
         byte = (value >> (8 * i)) & 0xFF
         word_addr = (addr + i) & ~3
@@ -347,16 +579,24 @@ def _store_bytes(program: Program, addr: int, size: int, value: int) -> None:
         program.words[word_addr] = current | (byte << shift)
 
 
+_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
 def _split_comment(line: str) -> tuple[str, str | None]:
-    """Strip comments; return (code, annotation-or-None) for ``#@`` lines."""
+    """Strip comments; return (code, annotation-or-None) for ``#@`` lines.
+
+    Comment markers inside a double-quoted string are text.
+    """
+    # The same line with its strings blanked: markers are searched here.
+    masked = _STRING_RE.sub(lambda m: "_" * len(m.group()), line)
     annotation = None
     for marker in ("#", "//", ";"):
-        idx = line.find(marker)
+        idx = masked.find(marker)
         if idx >= 0:
             comment = line[idx + len(marker):].strip()
             if comment.startswith("@"):
                 annotation = comment[1:].strip()
-            line = line[:idx]
+            line, masked = line[:idx], masked[:idx]
     return line, annotation
 
 
@@ -390,7 +630,7 @@ def _split_operands(text: str) -> list[str]:
 _MEM_OPERAND_RE = re.compile(r"^(.*)\(\s*([\w$]+)\s*\)$")
 
 
-def _parse_mem_operand(text: str, evaluator: _ExprEvaluator) -> tuple[int, int]:
+def _parse_mem_operand(text: str, evaluator) -> tuple[int, int]:
     """Parse ``offset(reg)`` into (offset, regnum)."""
     match = _MEM_OPERAND_RE.match(text.strip())
     if not match:
@@ -405,9 +645,8 @@ def _pseudo_size(mnemonic: str, operands: tuple[str, ...]) -> int:
         # Keep layout independent of symbol values: literal small constants
         # (including character literals) take one instruction, everything
         # else two.
-        text = operands[1] if len(operands) > 1 else "0"
-        text = re.sub(r"'(\\?.)'", lambda m: str(_char_value(m.group(1))),
-                      text)
+        text = _CHAR_RE.sub(lambda m: str(_char_value(m.group(1))),
+                            operands[1])
         try:
             value = int(text, 0)
         except ValueError:
@@ -418,9 +657,12 @@ def _pseudo_size(mnemonic: str, operands: tuple[str, ...]) -> int:
     return 4
 
 
-def _expand(stmt: _Statement, ev: _ExprEvaluator) -> list[Instr]:
-    """Expand one source statement into real instructions."""
-    m, ops = stmt.mnemonic, stmt.operands
+def _expand(m: str, ops: tuple[str, ...], size: int, ev) -> list[Instr]:
+    """Expand one source statement into real instructions.
+
+    *ev* is an :class:`_ExprEvaluator` bound to the statement's address,
+    or :class:`_Dependencies` for a dry run.
+    """
 
     def _r(i: int) -> int:
         return reg_num(ops[i])
@@ -429,7 +671,7 @@ def _expand(stmt: _Statement, ev: _ExprEvaluator) -> list[Instr]:
         return ev.eval(ops[i])
 
     def _target(i: int) -> int:
-        return ev.eval(ops[i]) - stmt.addr
+        return ev.target(ops[i])
 
     # Real instructions -----------------------------------------------------
     if m in SPECS:
@@ -440,11 +682,11 @@ def _expand(stmt: _Statement, ev: _ExprEvaluator) -> list[Instr]:
             if m == "jalr":
                 if len(ops) == 1:
                     return [Instr(m, rd=1, rs1=_r(0), imm=0)]
-                if len(ops) == 2 and "(" in ops[1]:
+                if len(ops) == 2:
                     off, base = _parse_mem_operand(ops[1], ev)
                     return [Instr(m, rd=_r(0), rs1=base, imm=off)]
                 return [Instr(m, rd=_r(0), rs1=_r(1), imm=_imm(2))]
-            if m in ("lb", "lh", "lw", "lbu", "lhu"):
+            if m in LOADS:
                 off, base = _parse_mem_operand(ops[1], ev)
                 return [Instr(m, rd=_r(0), rs1=base, imm=off)]
             return [Instr(m, rd=_r(0), rs1=_r(1), imm=_imm(2))]
@@ -481,24 +723,22 @@ def _expand(stmt: _Statement, ev: _ExprEvaluator) -> list[Instr]:
         return [Instr(f"custom.{spec.op.name.lower()}",
                       rd=rd, rs1=rs1, rs2=rs2, fmt=FMT_CUSTOM)]
     # Pseudo-instructions ---------------------------------------------------
-    return _expand_pseudo(stmt, ev)
+    return _expand_pseudo(m, ops, size, ev)
 
 
-def _csr(name: str, ev: _ExprEvaluator) -> int:
+def _csr(name: str, ev) -> int:
     name = name.strip().lower()
     if name in CSR_NAMES:
         return CSR_NAMES[name]
     return ev.eval(name)
 
 
-def _expand_pseudo(stmt: _Statement, ev: _ExprEvaluator) -> list[Instr]:
-    m, ops = stmt.mnemonic, stmt.operands
-
+def _expand_pseudo(m: str, ops: tuple[str, ...], size: int, ev) -> list[Instr]:
     def _r(i: int) -> int:
         return reg_num(ops[i])
 
     def _target(i: int) -> int:
-        return ev.eval(ops[i]) - stmt.addr
+        return ev.target(ops[i])
 
     if m == "nop":
         return [Instr("addi", rd=0, rs1=0, imm=0)]
@@ -519,20 +759,14 @@ def _expand_pseudo(stmt: _Statement, ev: _ExprEvaluator) -> list[Instr]:
     if m == "li":
         value = ev.eval(ops[1]) & MASK32
         signed = value - (1 << 32) if value >= (1 << 31) else value
-        if stmt.size == 4:
+        if size == 4:
             return [Instr("addi", rd=_r(0), rs1=0, imm=signed)]
-        hi = ((value + 0x800) >> 12) & 0xFFFFF
-        lo = value & 0xFFF
-        lo = lo - 0x1000 if lo >= 0x800 else lo
-        return [Instr("lui", rd=_r(0), imm=hi),
-                Instr("addi", rd=_r(0), rs1=_r(0), imm=lo)]
+        return [Instr("lui", rd=_r(0), imm=_hi(value)),
+                Instr("addi", rd=_r(0), rs1=_r(0), imm=_lo(value))]
     if m == "la":
         value = ev.eval(ops[1]) & MASK32
-        hi = ((value + 0x800) >> 12) & 0xFFFFF
-        lo = value & 0xFFF
-        lo = lo - 0x1000 if lo >= 0x800 else lo
-        return [Instr("lui", rd=_r(0), imm=hi),
-                Instr("addi", rd=_r(0), rs1=_r(0), imm=lo)]
+        return [Instr("lui", rd=_r(0), imm=_hi(value)),
+                Instr("addi", rd=_r(0), rs1=_r(0), imm=_lo(value))]
     if m == "j":
         return [Instr("jal", rd=0, imm=_target(0))]
     if m == "jr":
@@ -540,15 +774,10 @@ def _expand_pseudo(stmt: _Statement, ev: _ExprEvaluator) -> list[Instr]:
     if m == "ret":
         return [Instr("jalr", rd=0, rs1=1, imm=0)]
     if m in ("call", "tail"):
-        value = ev.eval(ops[0]) & MASK32
-        rel = (value - stmt.addr) & MASK32
-        rel_signed = rel - (1 << 32) if rel >= (1 << 31) else rel
-        hi = ((rel + 0x800) >> 12) & 0xFFFFF
-        lo = rel_signed & 0xFFF
-        lo = lo - 0x1000 if lo >= 0x800 else lo
+        rel = _target(0) & MASK32
         link = 1 if m == "call" else 0
-        return [Instr("auipc", rd=6, imm=hi),
-                Instr("jalr", rd=link, rs1=6, imm=lo)]
+        return [Instr("auipc", rd=6, imm=_hi(rel)),
+                Instr("jalr", rd=link, rs1=6, imm=_lo(rel))]
     branch_zero = {"beqz": "beq", "bnez": "bne", "bltz": "blt", "bgez": "bge"}
     if m in branch_zero:
         return [Instr(branch_zero[m], rs1=_r(0), rs2=0, imm=_target(1),

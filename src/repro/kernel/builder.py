@@ -16,7 +16,7 @@ from repro.chaos.hooks import fire as _chaos_fire
 from repro.chaos.model import mangle_blob
 from repro.errors import KernelError
 from repro.cores.system import System, build_system
-from repro.isa.assembler import Program, assemble
+from repro.isa.assembler import Program, assemble, reset_memo
 from repro.kernel.boot import boot_asm
 from repro.kernel.layout import equates
 from repro.kernel.lists import LIST_ASM
@@ -84,8 +84,10 @@ def assemble_cached(source: str, origin: int) -> tuple[Program, bytes]:
 
 
 def reset_program_cache() -> None:
-    """Drop all memoized builds (tests and long-lived services)."""
+    """Drop all memoized builds and the assembler's memo (tests and
+    long-lived services)."""
     _PROGRAM_CACHE.clear()
+    reset_memo()
     BUILD_CACHE_HEALTH.corrupt_evictions = 0
 
 

@@ -19,6 +19,7 @@ steals one port cycle per access (§4.2).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
@@ -312,15 +313,30 @@ def analyze_config(config: RTOSUnitConfig,
     return _build_analyzer(config, delayed_tasks).analyze()
 
 
-def _build_analyzer(config: RTOSUnitConfig,
-                    delayed_tasks: int) -> WCETAnalyzer:
+_DELAY_WAKE_BOUND_RE = re.compile(r"^\.equ DELAY_WAKE_BOUND, .*$", re.M)
+
+
+def analysis_source(config: RTOSUnitConfig,
+                    delayed_tasks: int = 8) -> tuple[str, int]:
+    """The representative kernel the analyser assembles, and its origin.
+
+    The builder renders ``DELAY_WAKE_BOUND`` from ``config.list_length``;
+    the source returned bounds the delay-list wake loop by
+    *delayed_tasks* instead, whatever the rendered value.
+    """
     objects = KernelObjects(tasks=[TaskSpec(
         "w", "task_w:\nw_loop:\n    j    w_loop\n", priority=1)])
     builder = KernelBuilder(config=config, objects=objects)
-    source = builder.source().replace(
-        ".equ DELAY_WAKE_BOUND, 8",
-        f".equ DELAY_WAKE_BOUND, {delayed_tasks}")
+    source, found = _DELAY_WAKE_BOUND_RE.subn(
+        f".equ DELAY_WAKE_BOUND, {delayed_tasks}", builder.source(), count=1)
+    if not found:
+        raise AnalysisError("kernel source defines no DELAY_WAKE_BOUND")
+    return source, builder.layout.text_base
+
+
+def _build_analyzer(config: RTOSUnitConfig,
+                    delayed_tasks: int) -> WCETAnalyzer:
     from repro.isa.assembler import assemble
 
-    program = assemble(source, origin=builder.layout.text_base)
-    return WCETAnalyzer(program, config)
+    source, origin = analysis_source(config, delayed_tasks)
+    return WCETAnalyzer(assemble(source, origin=origin), config)

@@ -83,9 +83,48 @@ class TestDirectives:
         program = assemble('.asciz "ab"\n')
         assert program.words[0] & 0xFFFFFF == 0x006261
 
+    @pytest.mark.parametrize("marker", ("#", "//", ";"))
+    def test_comment_marker_inside_string_is_text(self, marker):
+        program = assemble(f'.asciz "a{marker}b"  {marker} trailing\n'
+                           f'.align 2\nafter: nop\n')
+        data = b"".join(program.words[addr].to_bytes(4, "little")
+                        for addr in range(0, program.symbols["after"], 4))
+        assert data.startswith(f"a{marker}b".encode() + b"\0")
+
+    def test_annotation_after_string(self):
+        program = assemble('.asciz "#@ x"  #@ bound 3\n.align 2\nnop\n')
+        assert program.annotations == {8: {"bound": "3"}}
+
     def test_unknown_directive_rejected(self):
         with pytest.raises(AssemblerError):
             assemble(".bogus 1\n")
+
+
+class TestStructuredErrors:
+    @pytest.mark.parametrize("source, line", (
+        (".equ X, 1/0\n", 1),
+        ("nop\n.word 5 % 0\n", 2),
+        ("li a0, 1 << -1\n", 1),
+        (".word 16 >> -1\n", 1),
+        ("nop\nli a0\n", 2),
+        ("lw a0\n", 1),
+        ("addi a0, a1, 1, 2\n", 1),
+        ("jalr a0, a1\n", 1),
+        (".asciz abc\n", 1),
+        (".asciz 5\n", 1),
+        ("nop\n.space -8\nnop\n", 2),
+        (".zero -1\n", 1),
+        (".align -1\n", 1),
+        ("li a0, True\n", 1),
+        (".word False + 1\n", 1),
+        ("addi a0, a0, 4096\n", 1),
+        (".equ A B, 1\n", 1),
+    ))
+    def test_malformed_input_raises_with_its_line(self, source, line):
+        for _ in range(2):  # the memo must not swallow a second failure
+            with pytest.raises(AssemblerError) as info:
+                assemble(source)
+            assert info.value.line == line
 
 
 class TestExpressions:

@@ -1,11 +1,60 @@
 """Property-based assembler tests: layout stability, expression algebra."""
 
+import operator
+
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.assembler import _ExprEvaluator, assemble
+from repro.isa.assembler import _ExprEvaluator, assemble, reset_memo
 from repro.isa.encoding import decode
 
 identifier = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+
+MASK32 = 0xFFFFFFFF
+SYMBOLS = {"A": 0x1234, "B": 7, "C": 0xDEADBEEF, "NEG": -300, "Z": 0}
+
+
+def _hi(value):
+    return ((value + 0x800) >> 12) & 0xFFFFF
+
+
+def _lo(value):
+    low = value & 0xFFF
+    return low - 0x1000 if low >= 0x800 else low
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "&": operator.and_, "|": operator.or_, "^": operator.xor}
+
+
+def _extend(children):
+    """Expression trees one level deeper, as (text, python source)."""
+    binary = st.tuples(st.sampled_from(sorted(_BINARY)), children, children)
+    shift = st.tuples(st.sampled_from(("<<", ">>")), children,
+                      st.integers(0, 31))
+    return st.one_of(
+        binary.map(lambda t: f"({t[1]}) {t[0]} ({t[2]})"),
+        shift.map(lambda t: f"({t[1]}) {t[0]} {t[2]}"),
+        children.map(lambda c: f"~({c})"),
+        children.map(lambda c: f"-({c})"),
+        children.map(lambda c: f"%hi({c})"),
+        children.map(lambda c: f"%lo({c})"),
+    )
+
+
+_leaves = st.one_of(
+    st.integers(0, 0xFFFF).map(str),
+    st.integers(0, MASK32).map(hex),
+    st.sampled_from(sorted(SYMBOLS)),
+)
+expression_trees = st.recursive(_leaves, _extend, max_leaves=10)
+
+
+def _python_value(text: str) -> int:
+    """Python's own evaluation, with %hi/%lo as the relocation functions."""
+    source = text.replace("%hi(", "hi(").replace("%lo(", "lo(")
+    namespace = {**SYMBOLS, "hi": lambda v: _hi(v & MASK32),
+                 "lo": lambda v: _lo(v & MASK32)}
+    return eval(source, {"__builtins__": {}}, namespace)  # noqa: S307
 
 
 class TestExpressionEvaluator:
@@ -42,6 +91,43 @@ class TestExpressionEvaluator:
         assert ev.eval(f"{a} & {b}") == a & b
         assert ev.eval(f"{a} | {b}") == a | b
         assert ev.eval(f"{a} ^ {b}") == a ^ b
+
+
+class TestExpressionTrees:
+    @settings(max_examples=300, deadline=None)
+    @given(text=expression_trees)
+    def test_tree_matches_python(self, text):
+        assert _ExprEvaluator(SYMBOLS).eval(text) == _python_value(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=expression_trees)
+    def test_word_directive_matches_python(self, text):
+        equates = "".join(f".equ {name}, {value}\n"
+                          for name, value in SYMBOLS.items())
+        program = assemble(equates + f".word {text}\n")
+        assert program.words[0] == _python_value(text) & MASK32
+
+
+class TestEncodeMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.integers(-(1 << 31), MASK32),
+           origin=st.integers(0, 0x4000).map(lambda v: v * 4),
+           gap=st.integers(0, 64))
+    def test_memoised_encoding_matches_a_cold_one(self, value, origin, gap):
+        """Same text, other symbol values and addresses: never stale."""
+        source = (f".equ V, {value}\n"
+                  "top: li a0, V\n"
+                  "    lui a1, %hi(V)\n"
+                  "    addi a1, a1, %lo(V)\n"
+                  "    call far\n"
+                  "    beqz a0, top\n"
+                  f"    .space {gap * 4}\n"
+                  "far: j top\n"
+                  "    .word V, far - top\n")
+        warm = assemble(source, origin=origin)
+        reset_memo()
+        cold = assemble(source, origin=origin)
+        assert (warm.words, warm.symbols) == (cold.words, cold.symbols)
 
 
 class TestLiConstruction:

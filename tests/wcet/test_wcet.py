@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.errors import AnalysisError
 from repro.harness import run_suite
+from repro.kernel.builder import KernelBuilder
 from repro.rtosunit.config import parse_config
 from repro.wcet import analyze_config
+from repro.wcet.analyzer import analysis_source
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,25 @@ class TestScaling:
         small = analyze_config(parse_config("vanilla"), delayed_tasks=2)
         large = analyze_config(parse_config("vanilla"), delayed_tasks=8)
         assert large.wcet_cycles > small.wcet_cycles + 100
+
+    @pytest.mark.parametrize("list_length", (4, 8, 16))
+    def test_delayed_tasks_bound_any_list_length(self, list_length):
+        """The wake bound is replaced whatever the builder rendered."""
+        config = parse_config("vanilla", list_length=list_length)
+        source, _ = analysis_source(config, delayed_tasks=3)
+        assert ".equ DELAY_WAKE_BOUND, 3\n" in source
+        assert f".equ DELAY_WAKE_BOUND, {list_length}\n" not in source
+        small = analyze_config(config, delayed_tasks=2).wcet_cycles
+        large = analyze_config(config, delayed_tasks=8).wcet_cycles
+        assert large > small + 100
+        default = parse_config("vanilla")
+        assert small == analyze_config(default, delayed_tasks=2).wcet_cycles
+        assert large == analyze_config(default, delayed_tasks=8).wcet_cycles
+
+    def test_missing_wake_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(KernelBuilder, "source", lambda self: "nop\n")
+        with pytest.raises(AnalysisError, match="DELAY_WAKE_BOUND"):
+            analyze_config(parse_config("vanilla"))
 
     def test_hw_sched_wcet_independent_of_delayed_tasks(self):
         small = analyze_config(parse_config("SLT"), delayed_tasks=2)
