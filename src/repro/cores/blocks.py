@@ -833,12 +833,17 @@ class BlockEngine:
         Called right after a clean completion, so ``core.pc`` is the
         observed successor — the first link follows the trace the program
         actually took (taken back-edges included). Further links follow
-        statically-known successors only. The superblock replaces the
-        head entry in the cache and registers every constituent word in
-        ``addr_map``, so SMC/fault invalidation of *any* covered word
-        drops the whole superblock. Segment boundaries become ``K_LINK``
-        guard records that side-exit back to the exact block boundary
-        whenever control leaves the recorded trace.
+        statically-known successors only. A trace that returns to the
+        head's own entry is a closed loop: the recorded iteration repeats
+        as many whole times as the segment and record caps allow, and the
+        superblock ends where it re-enters itself. A trace that runs into
+        any other block it already holds stops there. The superblock
+        replaces the head entry in the cache and registers every
+        constituent word in ``addr_map``, so SMC/fault invalidation of
+        *any* covered word drops the whole superblock. Segment boundaries
+        (back-edges included) become ``K_LINK`` guard records that
+        side-exit back to the exact block boundary whenever control
+        leaves the recorded trace.
         """
         cache = self.cache
         dget = dict.get
@@ -849,8 +854,14 @@ class BlockEngine:
         succ = self.core.pc
         while (len(segs) < SUPERBLOCK_MAX_SEGMENTS
                and total < SUPERBLOCK_MAX_RECORDS):
+            if succ == head.entry:
+                # Closed loop: unroll whole iterations (at least one fits,
+                # since the caps were checked above).
+                segs *= min(SUPERBLOCK_MAX_SEGMENTS // len(segs),
+                            SUPERBLOCK_MAX_RECORDS // total)
+                break
             if succ is None or succ in entries:
-                break  # unknown target or trace loops back: stop growing
+                break  # unknown target or trace runs into itself: stop
             nxt = dget(cache, succ)
             if nxt is None:
                 if succ in slow_pcs:

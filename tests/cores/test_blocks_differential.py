@@ -6,6 +6,12 @@ configuration. The two modes must agree on everything observable:
 cycle count, retired instructions, the full core stats, every context
 switch record and the final register state. This is the acceptance
 test for the exactness contract in ``repro.cores.blocks``.
+
+The two long-run workloads ride along for their loops:
+``interrupt_response``'s background task spins in a two-instruction
+self-loop while external interrupts land inside its unrolled
+superblock, and ``mixed_stress`` cycles seven tasks through every
+kernel service.
 """
 
 import dataclasses
@@ -13,13 +19,17 @@ import dataclasses
 import pytest
 
 from repro.cores import CORE_NAMES
-from repro.cores.blocks import BlockEngine
+from repro.cores.blocks import BlockEngine, superblocks_enabled_default
 from repro.kernel.builder import KernelBuilder
 from repro.rtosunit.config import parse_config
-from repro.workloads.suite import RTOSBENCH_WORKLOADS
+from repro.workloads.suite import (RTOSBENCH_WORKLOADS, interrupt_response,
+                                   mixed_stress)
+from tests.cores.helpers import loop_superblocks
 
 ITERATIONS = 3
 CONFIGS = ("vanilla", "SLT")
+#: The benchmark's long-run workloads, added for their loops.
+LONG_RUN_WORKLOADS = (interrupt_response, mixed_stress)
 
 
 def _observable(core, system):
@@ -46,16 +56,17 @@ def _run(core_name, config_name, factory, blocks):
     else:
         cpu.block_engine = None
     system.run(workload.max_cycles)
-    return _observable(cpu, system), cpu.perf_counters()
+    return _observable(cpu, system), cpu.perf_counters(), cpu.block_engine
 
 
 @pytest.mark.parametrize("config_name", CONFIGS)
 @pytest.mark.parametrize("core_name", sorted(CORE_NAMES))
 def test_suite_identical_with_and_without_blocks(core_name, config_name):
-    for factory in RTOSBENCH_WORKLOADS:
-        on, on_counters = _run(core_name, config_name, factory, blocks=True)
-        off, off_counters = _run(core_name, config_name, factory,
-                                 blocks=False)
+    for factory in RTOSBENCH_WORKLOADS + LONG_RUN_WORKLOADS:
+        on, on_counters, engine = _run(core_name, config_name, factory,
+                                       blocks=True)
+        off, off_counters, _ = _run(core_name, config_name, factory,
+                                    blocks=False)
         name = factory(iterations=ITERATIONS).name
         assert on == off, (
             f"{name} on {core_name}/{config_name}: block dispatch changed "
@@ -65,3 +76,8 @@ def test_suite_identical_with_and_without_blocks(core_name, config_name):
         assert on_counters["fast_instret"] > 0, (
             f"{name} on {core_name}/{config_name}: blocks never dispatched")
         assert off_counters["fast_instret"] == 0
+        if factory is interrupt_response and superblocks_enabled_default():
+            # The background spin loop ran as an unrolled superblock.
+            assert loop_superblocks(engine), (
+                f"{name} on {core_name}/{config_name}: spin loop never "
+                f"promoted")

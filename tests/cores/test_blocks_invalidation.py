@@ -11,7 +11,9 @@ import dataclasses
 import pytest
 
 from repro.cores import CORE_CLASSES
-from repro.cores.blocks import BlockEngine
+from repro.cores.blocks import (K_LINK, MAX_BLOCK_INSTRS,
+                                SUPERBLOCK_MAX_RECORDS,
+                                SUPERBLOCK_MAX_SEGMENTS, BlockEngine)
 from repro.cores.system import System
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultSpec
@@ -19,7 +21,7 @@ from repro.isa.assembler import assemble
 from repro.kernel.builder import KernelBuilder
 from repro.rtosunit.config import parse_config
 from repro.workloads.suite import workload_by_name
-from tests.cores.helpers import HALT_TAIL
+from tests.cores.helpers import HALT_TAIL, loop_superblocks
 
 
 def _encoding(line: str) -> int:
@@ -43,7 +45,26 @@ def _run(source, core="cv32e40p", config="vanilla", blocks=True,
 
 def _state(system):
     core = system.core
-    return (core.cycle, core.stats.instret, list(core.regs))
+    return (core.cycle, vars(core.stats).copy(), list(core.regs), core.pc)
+
+
+#: Hot loops that close on their own head: 60 trips, enough to promote.
+SELF_LOOP = """
+    li   s0, 60
+loop:
+    addi s1, s1, 1
+    addi s0, s0, -1
+    bnez s0, loop
+"""
+TWO_BLOCK_LOOP = """
+    li   s0, 60
+loop:
+    addi s1, s1, 1
+    bnez s1, mid
+mid:
+    addi s0, s0, -1
+    bnez s0, loop
+"""
 
 
 class TestSelfModifyingStores:
@@ -170,30 +191,20 @@ class TestSuperblockInvalidation:
     as plain blocks: any write into a covered range — raw poke, fault
     flip or self-modifying store — must drop every chained trace."""
 
-    def _hot_system(self):
+    def _hot_system(self, source):
         """Run a loop long enough to promote its back-edge superblock.
 
-        The mid-loop branch splits the body into two blocks — a pure
-        self-loop never promotes (the chain would loop straight back to
-        its own entry), a two-block trace does.
+        Both hot loops close on their own head, so the superblock is the
+        loop unrolled: the self-loop repeats its one block, the
+        two-block loop (split by its mid-loop branch) repeats the pair.
         """
-        system = _run("""
-    li   s0, 60
-loop:
-    addi s1, s1, 1
-    bnez s1, mid
-mid:
-    addi s0, s0, -1
-    bnez s0, loop
-""")
-        engine = system.core.block_engine
-        assert engine.superblocks > 0
-        supers = [b for b in engine.cache.values() if b.segs is not None]
+        system = _run(source)
+        supers = loop_superblocks(system.core.block_engine)
         assert supers
         return system, supers[0]
 
-    def test_raw_write_drops_covering_superblock(self):
-        system, sb = self._hot_system()
+    def _assert_raw_write_drops(self, source):
+        system, sb = self._hot_system(source)
         engine = system.core.block_engine
         # Dirty the *last* covered word so the whole chain must go, not
         # just the head segment.
@@ -202,8 +213,8 @@ mid:
         assert all(word not in b.addrs for b in engine.cache.values())
         assert sb.entry not in engine.cache
 
-    def test_fault_flip_drops_covering_superblock(self):
-        system, sb = self._hot_system()
+    def _assert_fault_flip_drops(self, source):
+        system, sb = self._hot_system(source)
         engine = system.core.block_engine
         word = sb.addrs[-1]
         injector = FaultInjector(
@@ -212,6 +223,18 @@ mid:
         assert injector.done
         assert all(word not in b.addrs for b in engine.cache.values())
         assert sb.entry not in engine.cache
+
+    def test_raw_write_drops_covering_superblock(self):
+        self._assert_raw_write_drops(TWO_BLOCK_LOOP)
+
+    def test_raw_write_drops_self_loop_superblock(self):
+        self._assert_raw_write_drops(SELF_LOOP)
+
+    def test_fault_flip_drops_covering_superblock(self):
+        self._assert_fault_flip_drops(TWO_BLOCK_LOOP)
+
+    def test_fault_flip_drops_self_loop_superblock(self):
+        self._assert_fault_flip_drops(SELF_LOOP)
 
     def test_smc_after_promotion_stays_exact(self):
         """A loop hot enough to be promoted patches its own body on a
@@ -247,6 +270,148 @@ done:
         engine = on.core.block_engine
         assert engine.superblocks > 0
         assert engine.invalidations >= 1
+
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_smc_into_self_loop_tail_stays_exact(self, core):
+        """A promoted self-loop's back-edge (its superblock's last word)
+        is patched to branch to the loop's second instruction: the
+        unrolled superblock must drop, and every later trip must skip
+        the first instruction in both dispatch modes."""
+        patch = assemble("""
+skip:
+    addi s0, s0, -1
+    bnez s0, skip
+""", origin=0).words[4]
+        source = f"""
+    li   s0, 24
+    j    loop
+patchword: .word {patch:#010x}
+loop:
+    addi s1, s1, 1
+    addi s0, s0, -1
+tail:
+    bnez s0, loop
+    bnez s2, done
+    li   s2, 1
+    la   t0, tail
+    la   t1, patchword
+    lw   t2, 0(t1)
+    sw   t2, 0(t0)
+    li   s0, 8
+    j    loop
+done:
+"""
+        on = _run(source, core=core, blocks=True)
+        off = _run(source, core=core, blocks=False)
+        assert _state(on) == _state(off)
+        # 24 original trips + the first instruction of the patched pass.
+        assert on.core.regs[9] == 24 + 1
+        engine = on.core.block_engine
+        assert engine.superblocks > 0
+        assert engine.invalidations >= 1
+
+
+#: Counted loops: a 40-trip pass promotes the loop superblock, then a
+#: second pass of ``{trips}`` trips leaves it at the guard that trip
+#: count reaches. Keyed by shape, with the blocks per iteration.
+COUNTED_LOOPS = {
+    "self_loop": (1, """
+    li   s0, 40
+    li   s2, 2
+loop:
+    addi s1, s1, 3
+    addi s0, s0, -1
+    bnez s0, loop
+    addi s2, s2, -1
+    li   s0, {trips}
+    bnez s2, loop
+"""),
+    "two_block_bnez": (2, """
+    li   s0, 40
+    li   s2, 2
+loop:
+    addi s1, s1, 3
+    bnez s1, mid
+mid:
+    addi s0, s0, -1
+    bnez s0, loop
+    addi s2, s2, -1
+    li   s0, {trips}
+    bnez s2, loop
+"""),
+    "two_block_beqz_j": (2, """
+    li   s0, 40
+    li   s2, 2
+loop:
+    addi s1, s1, 3
+    addi s0, s0, -1
+    beqz s0, out
+    j    loop
+out:
+    addi s2, s2, -1
+    li   s0, {trips}
+    bnez s2, loop
+"""),
+}
+
+
+class TestLoopSuperblocks:
+    """A trace that returns to its own head unrolls into whole
+    iterations within the superblock caps. Every back-edge is an
+    ordinary ``K_LINK`` guard, so a loop may leave at any of them."""
+
+    def _loop_superblock(self, source):
+        system = _run(source)
+        (sb,) = loop_superblocks(system.core.block_engine)
+        return sb
+
+    def test_self_loop_unrolls_to_segment_cap(self):
+        sb = self._loop_superblock(SELF_LOOP)
+        assert sb.segs == (sb.entry,) * SUPERBLOCK_MAX_SEGMENTS
+        links = [rec for rec in sb.records if rec[0] == K_LINK]
+        # One guard per back-edge, each expecting the head again.
+        assert len(links) == SUPERBLOCK_MAX_SEGMENTS - 1
+        assert all(rec[4] == sb.entry for rec in links)
+        assert len(sb.records) == 3 * SUPERBLOCK_MAX_SEGMENTS + len(links)
+        assert len(set(sb.addrs)) == 3
+
+    def test_two_block_loop_unrolls_whole_iterations(self):
+        sb = self._loop_superblock(TWO_BLOCK_LOOP)
+        iteration = sb.segs[:2]
+        assert iteration[0] == sb.entry and iteration[1] != sb.entry
+        assert sb.segs == iteration * (SUPERBLOCK_MAX_SEGMENTS // 2)
+
+    def test_record_cap_bounds_the_unroll(self):
+        """A full-size self-loop block repeats only as often as
+        ``SUPERBLOCK_MAX_RECORDS`` allows."""
+        body = "    addi s1, s1, 1\n" * (MAX_BLOCK_INSTRS - 2)
+        sb = self._loop_superblock(f"""
+    li   s0, 40
+loop:
+{body}    addi s0, s0, -1
+    bnez s0, loop
+""")
+        repeats = SUPERBLOCK_MAX_RECORDS // MAX_BLOCK_INSTRS
+        assert 1 < repeats < SUPERBLOCK_MAX_SEGMENTS
+        assert sb.segs == (sb.entry,) * repeats
+        body_records = [rec for rec in sb.records if rec[0] != K_LINK]
+        assert len(body_records) == repeats * MAX_BLOCK_INSTRS
+
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    @pytest.mark.parametrize("shape", sorted(COUNTED_LOOPS))
+    def test_every_exit_guard_stays_exact(self, shape, core):
+        """Trip counts 1 .. 2 x unroll + 1 leave the unrolled loop at
+        every guard position, at its end, and after whole repeats."""
+        blocks_per_iteration, template = COUNTED_LOOPS[shape]
+        unroll = SUPERBLOCK_MAX_SEGMENTS // blocks_per_iteration
+        for trips in range(1, 2 * unroll + 2):
+            source = template.format(trips=trips)
+            on = _run(source, core=core, blocks=True)
+            off = _run(source, core=core, blocks=False)
+            assert _state(on) == _state(off), (shape, trips)
+            assert on.core.regs[9] == 3 * (40 + trips)
+            (sb,) = loop_superblocks(on.core.block_engine)
+            assert len(sb.segs) == unroll * blocks_per_iteration
 
 
 class TestBankSwitchBoundaries:

@@ -1,0 +1,115 @@
+"""Randomised loop oracle: unrolled loop superblocks vs the exact path.
+
+Hypothesis generates counted loops of one to three blocks per
+iteration. Bodies mix RV32IM ALU ops (``mul``/``div``/``rem``
+included) with ``lw``/``sw`` into a scratch buffer. Blocks are split
+by jumps and by data-dependent forward branches, some of which skip an
+op, and the loop closes either with ``bnez`` or with ``beqz`` + ``j``.
+An outer loop reruns it one to three times. Each program runs with
+block dispatch on and off on all three cores; the cycle count, the
+full core stats, the registers and the buffer must agree.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.cores import CORE_CLASSES
+from repro.cores.blocks import (SUPERBLOCK_HOT, BlockEngine,
+                                superblocks_enabled_default)
+from repro.cores.system import System
+from repro.isa.assembler import assemble
+from repro.rtosunit.config import parse_config
+from tests.cores.helpers import HALT_TAIL
+
+MASK = 0xFFFFFFFF
+BUF_WORDS = 16
+
+_ALU_R = ("add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt",
+          "sltu", "mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem",
+          "remu")
+_ALU_I = ("addi", "andi", "ori", "xori", "slti", "sltiu")
+_SHIFT_I = ("slli", "srli", "srai")
+_BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
+
+# Work registers: x5..x15. x25 counts passes, x26 counts trips, x27
+# holds the buffer base; the halt tail uses x31.
+_WORK = tuple(range(5, 16))
+
+_reg = st.sampled_from(_WORK)
+_offset = st.integers(0, BUF_WORDS - 1).map(lambda word: 4 * word)
+_op = st.one_of(
+    st.builds("    {} x{}, x{}, x{}".format, st.sampled_from(_ALU_R),
+              _reg, _reg, _reg),
+    st.builds("    {} x{}, x{}, {}".format, st.sampled_from(_ALU_I),
+              _reg, _reg, st.integers(-2048, 2047)),
+    st.builds("    {} x{}, x{}, {}".format, st.sampled_from(_SHIFT_I),
+              _reg, _reg, st.integers(0, 31)),
+    st.builds("    lw   x{}, {}(x27)".format, _reg, _offset),
+    st.builds("    sw   x{}, {}(x27)".format, _reg, _offset),
+)
+_body = st.lists(_op, min_size=1, max_size=8)
+
+
+@st.composite
+def loop_programs(draw):
+    """Return ``(source, trips, passes)`` for one counted loop."""
+    seeds = draw(st.lists(st.integers(0, MASK), min_size=len(_WORK),
+                          max_size=len(_WORK)))
+    buf = draw(st.lists(st.integers(0, MASK), min_size=BUF_WORDS,
+                        max_size=BUF_WORDS))
+    trips = draw(st.integers(1, 40))
+    passes = draw(st.integers(1, 3))
+    lines = ["    j    start", "buf:"]
+    lines += [f"    .word {word:#010x}" for word in buf]
+    lines += ["start:", "    la   x27, buf"]
+    lines += [f"    li   x{reg}, {value:#x}"
+              for reg, value in zip(_WORK, seeds)]
+    lines += [f"    li   x25, {passes}", "outer:", f"    li   x26, {trips}",
+              "loop:"]
+    lines += draw(_body)
+    for split in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("jump", "branch", "skip")))
+        if kind == "jump":
+            lines.append(f"    j    split{split}")
+        else:
+            lines.append(f"    {draw(st.sampled_from(_BRANCHES))} "
+                         f"x{draw(_reg)}, x{draw(_reg)}, split{split}")
+            if kind == "skip":
+                lines.append(draw(_op))
+        lines.append(f"split{split}:")
+        lines += draw(_body)
+    lines.append("    addi x26, x26, -1")
+    if draw(st.booleans()):
+        lines.append("    bnez x26, loop")
+    else:
+        lines += ["    beqz x26, exit", "    j    loop", "exit:"]
+    lines += ["    addi x25, x25, -1", "    bnez x25, outer"]
+    return "\n".join(lines) + "\n" + HALT_TAIL, trips, passes
+
+
+def _run(program, core, blocks):
+    system = System(CORE_CLASSES[core], parse_config("vanilla"),
+                    tick_period=1 << 30)
+    cpu = system.core
+    cpu.block_engine = BlockEngine(cpu) if blocks else None
+    system.load(program)
+    system.run(max_cycles=2_000_000)
+    assert cpu.halted
+    buf = program.symbol("buf")
+    return system, (cpu.cycle, vars(cpu.stats).copy(), list(cpu.regs),
+                    cpu.pc, bytes(system.memory.data[buf:buf + 4 * BUF_WORDS]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=loop_programs())
+def test_loop_programs_identical_with_and_without_blocks(case):
+    source, trips, passes = case
+    program = assemble(source, origin=0)
+    for core in sorted(CORE_CLASSES):
+        on_system, on = _run(program, core, blocks=True)
+        _, off = _run(program, core, blocks=False)
+        assert on == off, (core, source)
+        # The first trip of each pass enters through ``outer``, so the
+        # loop head completes (trips - 1) * passes times.
+        if (trips - 1) * passes > SUPERBLOCK_HOT \
+                and superblocks_enabled_default():
+            assert on_system.core.block_engine.superblocks > 0

@@ -8,12 +8,19 @@ byte-identical to an uninterrupted cold run. These tests pin that
 contract on all three cores, including the OoO model whose batched
 ``_time_block`` state lives entirely in the core (nothing mid-batch
 survives a return to Python).
+
+Two workloads warm the tier differently. ``yield_pingpong`` promotes
+straight-line kernel traces. In ``interrupt_response`` the background
+task spins in a two-instruction self-loop that unrolls into a loop
+superblock; the checkpoint waits for that superblock, so it is taken
+at the switch an external interrupt forces out of the running spin.
 """
 
 import pytest
 
+from tests.cores.helpers import loop_superblocks
 from tests.snapshot.test_capture_restore import _build, _observable
-from repro.workloads import yield_pingpong
+from repro.workloads import interrupt_response, yield_pingpong
 
 CORES = ("cv32e40p", "cva6", "naxriscv")
 
@@ -21,8 +28,22 @@ CORES = ("cv32e40p", "cva6", "naxriscv")
 ITERATIONS = 24
 
 
-def _checkpoint_with_warm_tier(system):
-    """Run *system*, capturing at the first switch after a promotion.
+def _any_superblock(engine):
+    return engine.superblocks > 0
+
+
+#: name -> (workload, predicate on the block engine that says the tier
+#: is warm enough to checkpoint).
+WARM_TIERS = {
+    "yield_pingpong": (yield_pingpong(iterations=ITERATIONS),
+                       _any_superblock),
+    "interrupt_response": (interrupt_response(iterations=4),
+                           loop_superblocks),
+}
+
+
+def _checkpoint_with_warm_tier(system, warm):
+    """Run *system*, capturing at the first switch once *warm* holds.
 
     Returns the snapshot; asserts the run completed and that the
     superblock tier really was warm (promotions observed) at capture
@@ -32,7 +53,7 @@ def _checkpoint_with_warm_tier(system):
 
     def hook(cpu):
         engine = cpu.block_engine
-        if engine is not None and engine.superblocks and not checkpoints:
+        if engine is not None and not checkpoints and warm(engine):
             checkpoints.append((system.capture(), engine.superblocks))
             cpu.switch_hook = None
 
@@ -44,16 +65,14 @@ def _checkpoint_with_warm_tier(system):
     return snapshot
 
 
-@pytest.mark.parametrize("core", CORES)
-@pytest.mark.parametrize("config_name", ("vanilla", "SLT"))
-def test_mid_superblock_capture_resumes_identically(core, config_name):
+def _assert_capture_resumes(core, config_name, name):
     """Clone from a warm-tier checkpoint finishes byte-identical to cold."""
-    workload = yield_pingpong(iterations=ITERATIONS)
+    workload, warm = WARM_TIERS[name]
     reference = _build(core, config_name, workload)
     assert reference.run(workload.max_cycles) == 0
 
     system = _build(core, config_name, workload)
-    snapshot = _checkpoint_with_warm_tier(system)
+    snapshot = _checkpoint_with_warm_tier(system, warm)
     # Capturing must not have perturbed the donor run.
     assert _observable(system) == _observable(reference)
 
@@ -62,24 +81,45 @@ def test_mid_superblock_capture_resumes_identically(core, config_name):
     assert clone.run(workload.max_cycles) == 0
     assert _observable(clone) == _observable(reference)
     # The clone re-warms its own tier while finishing the trace.
-    assert clone.core.perf_counters()["superblocks"] > 0
+    assert warm(clone.core.block_engine)
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_restore_rewinds_live_warm_tier(core):
+def _assert_restore_rewinds(core, name):
     """Rewinding a finished system onto a mid-run checkpoint replays it.
 
     The restore path must invalidate every cached block/superblock
     covering memory the rewind dirties (the lockstep contract) — stale
     promoted traces would otherwise replay the pre-rewind program.
     """
-    workload = yield_pingpong(iterations=ITERATIONS)
+    workload, warm = WARM_TIERS[name]
     reference = _build(core, "SLT", workload)
     assert reference.run(workload.max_cycles) == 0
 
     system = _build(core, "SLT", workload)
-    snapshot = _checkpoint_with_warm_tier(system)
+    snapshot = _checkpoint_with_warm_tier(system, warm)
     system.restore(snapshot)
     assert not system.core.halted
     assert system.run(workload.max_cycles) == 0
     assert _observable(system) == _observable(reference)
+
+
+@pytest.mark.parametrize("core", CORES)
+@pytest.mark.parametrize("config_name", ("vanilla", "SLT"))
+def test_mid_superblock_capture_resumes_identically(core, config_name):
+    _assert_capture_resumes(core, config_name, "yield_pingpong")
+
+
+@pytest.mark.parametrize("core", CORES)
+@pytest.mark.parametrize("config_name", ("vanilla", "SLT"))
+def test_mid_loop_superblock_capture_resumes_identically(core, config_name):
+    _assert_capture_resumes(core, config_name, "interrupt_response")
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_restore_rewinds_live_warm_tier(core):
+    _assert_restore_rewinds(core, "yield_pingpong")
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_restore_rewinds_live_loop_superblock(core):
+    _assert_restore_rewinds(core, "interrupt_response")
