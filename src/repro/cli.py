@@ -641,7 +641,8 @@ def _service_from_args(args):
 
 def _add_service_args(parser) -> None:
     parser.add_argument("--jobs", type=int, default=1,
-                        help="process-pool workers per batch")
+                        help="process-pool workers, kept for the service's "
+                             "lifetime (1: run batches in-process)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed result cache directory")
     parser.add_argument("--queue-depth", type=int, default=64,

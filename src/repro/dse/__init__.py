@@ -5,7 +5,8 @@ a joint search over RTOSUnit hardware configurations and kernel
 extensions for the best latency/area/power trade-off. Four parts:
 
 * :mod:`repro.dse.executor` — process-pool grid execution with per-task
-  retry/timeout and deterministic result ordering,
+  retry/timeout and deterministic result ordering, on a per-call pool
+  or a long-lived :class:`~repro.dse.executor.WorkerPool`,
 * :mod:`repro.dse.cache` — a content-addressed on-disk result cache
   (keyed by source fingerprint + grid point + seed) with hit/miss/
   invalidation accounting and a resume checkpoint manifest,
@@ -27,6 +28,7 @@ from repro.dse.executor import (
     DSEExecutor,
     GridPoint,
     PoolHealth,
+    WorkerPool,
     build_grid,
     execute_point,
     group_suites,
@@ -56,6 +58,7 @@ __all__ = [
     "ProgressMeter",
     "ResultCache",
     "SweepManifest",
+    "WorkerPool",
     "annotate_pareto",
     "build_grid",
     "dominates",

@@ -16,11 +16,14 @@ when the caller provides ``on_poison`` — quarantined into a structured
 result so one poisonous grid point cannot take down a whole batch.
 :class:`PoolHealth` counts every one of those events for telemetry.
 
-Two entry points:
+Entry points:
 
 * :func:`parallel_map` — a generic order-preserving map with per-task
   retry and deadline, also used by the WCET, Fig. 12 and fault-campaign
   CLI paths;
+* :class:`WorkerPool` — the supervised pool itself; a caller that keeps
+  one across :func:`parallel_map` calls (the simulation service) keeps
+  its workers, and their process-local warm state, between calls;
 * :class:`DSEExecutor` — the cache-aware grid runner behind
   :func:`repro.harness.sweep` and ``python -m repro dse``.
 """
@@ -28,6 +31,7 @@ Two entry points:
 from __future__ import annotations
 
 import concurrent.futures
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -157,29 +161,88 @@ def _run_serial(worker, items, retries: int, on_result, on_poison,
     return results
 
 
-def _replace_pool(pool, jobs: int, health: PoolHealth):
-    """Tear down a broken/stalled pool — processes included — and rebuild.
+class WorkerPool:
+    """One supervised process pool, kept across :func:`parallel_map` calls.
 
-    ``Future.cancel`` cannot stop a *running* task, so a stalled worker
-    would otherwise occupy a slot forever; the supervisor terminates the
-    worker processes outright and starts a fresh pool.
+    Workers start on the first :meth:`submit` and live until
+    :meth:`replace` or :meth:`close`, so everything a worker keeps in
+    its process — the assembler memo, the kernel build cache, the
+    snapshot store — carries over from one call to the next. Workers
+    are forked (the platform default), so they inherit the parent's
+    environment and chaos policy as they are when the pool starts or
+    restarts, not as they are at each call.
+
+    Submission may come from one thread while another closes the pool:
+    start, replacement and close hold one lock, and a closed pool
+    raises :class:`ExplorationError` rather than fork new workers. Run
+    one :func:`parallel_map` call on a pool at a time, though: a
+    replacement made by one call would take the other's tasks down.
     """
-    health.restarts += 1
-    processes = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    return concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self._lock = threading.Lock()
+        self._executor = None
+        self._closed = False
+
+    def submit(self, worker, item) -> concurrent.futures.Future:
+        with self._lock:
+            if self._closed:
+                raise ExplorationError("worker pool is closed")
+            if self._executor is None:
+                self._executor = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self.jobs)
+            return self._executor.submit(worker, item)
+
+    def replace(self) -> None:
+        """Tear the workers down, running tasks included.
+
+        ``Future.cancel`` cannot stop a *running* task, so a stalled
+        worker would otherwise occupy a slot forever; the workers are
+        terminated outright and the next :meth:`submit` starts fresh ones.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        processes = list(getattr(executor, "_processes", {}).values())
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+
+    def close(self) -> None:
+        """Let submitted tasks finish, join the workers and refuse any
+        later submission (idempotent).
+
+        Pending tasks are not cancelled: ``Future.cancel`` wakes no
+        caller already blocked in :func:`concurrent.futures.wait`, so a
+        call still running on another thread would wait out its deadline
+        (or forever, without one).
+        """
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
                  retries: int = 1, on_result=None, on_poison=None,
-                 health: PoolHealth | None = None) -> list:
+                 health: PoolHealth | None = None,
+                 pool: WorkerPool | None = None) -> list:
     """Order-preserving map with a supervised process-pool fan-out.
 
     ``jobs <= 1`` runs in-process (no pickling constraints). Otherwise
-    each item runs under a pool of ``jobs`` workers with supervision:
+    each item runs on ``pool`` — or, without one, on a
+    :class:`WorkerPool` of ``jobs`` workers made and closed for this
+    call — with supervision:
 
     * every submission gets its own absolute deadline (``timeout``
       seconds from dispatch); an overdue task is charged a failed
@@ -198,7 +261,10 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
     ``on_result(index, result)`` fires once per completed item (in
     completion order) for progress telemetry; ``health`` accumulates
     supervision counters. Results come back in item order regardless of
-    completion order.
+    completion order. A replacement made here serves the caller's later
+    calls on the same ``pool``, and a call that leaves with tasks still
+    in flight (an exception) replaces the pool, so none of them runs on
+    into the next call.
     """
     items = list(items)
     health = health if health is not None else PoolHealth()
@@ -206,15 +272,28 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
         return _run_serial(worker, items, retries, on_result, on_poison,
                            health)
 
+    owned = pool is None
+    if owned:
+        pool = WorkerPool(jobs)
     results = [None] * len(items)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
     futures: dict = {}            # future -> item index
     deadlines: dict = {}          # item index -> absolute deadline | None
     attempts = dict.fromkeys(range(len(items)), 0)
 
     def start(index: int) -> None:
         attempts[index] += 1
-        futures[pool.submit(worker, items[index])] = index
+        try:
+            future = pool.submit(worker, items[index])
+        except concurrent.futures.process.BrokenProcessPool:
+            # A worker died before this task reached the pool (on a
+            # shared pool, possibly while it sat idle between calls), so
+            # there is nothing to charge: replace the pool and submit
+            # again. A task that was riding the dead worker still fails
+            # through its own future and is charged below.
+            health.restarts += 1
+            pool.replace()
+            future = pool.submit(worker, items[index])
+        futures[future] = index
         deadlines[index] = (time.monotonic() + timeout
                             if timeout is not None else None)
 
@@ -287,7 +366,8 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
                     attempts[index] -= 1  # not the survivor's failure
                 futures.clear()
                 deadlines.clear()
-                pool = _replace_pool(pool, jobs, health)
+                health.restarts += 1
+                pool.replace()
                 for index in survivors:
                     start(index)
             for index, result in completed:
@@ -295,7 +375,10 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
             for index, reason in failed + broken:
                 charge(index, reason)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if futures:
+            pool.replace()
+        if owned:
+            pool.close()
     return results
 
 

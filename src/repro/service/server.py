@@ -8,7 +8,8 @@ with priorities and explicit backpressure (:mod:`repro.service.queue`),
 groups queued points into per-tick executor batches
 (:mod:`repro.service.batch`), and runs them off the event loop through
 the DSE executor's retry/watchdog machinery
-(:mod:`repro.service.worker`).
+(:mod:`repro.service.worker`). With ``jobs > 1`` every batch runs on
+one :class:`~repro.dse.executor.WorkerPool` that ``stop()`` closes.
 
 Lifecycle::
 
@@ -29,6 +30,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 
+from repro.dse.executor import WorkerPool
 from repro.errors import CircuitOpenError, QueueFullError, ServiceError
 from repro.service.batch import Batcher, BatchPolicy
 from repro.service.breaker import CircuitBreaker
@@ -97,6 +99,7 @@ class SimulationService:
                               shed=shed if shed is not None else ShedPolicy())
         self.coalescer = Coalescer(cache)
         self.batcher = Batcher(self.queue, policy, clock=clock)
+        self._pool = WorkerPool(jobs) if jobs > 1 else None
         self._scheduler_task: asyncio.Task | None = None
         self._stopped = False
         self._pending = 0
@@ -118,7 +121,7 @@ class SimulationService:
         await self._idle.wait()
 
     async def stop(self) -> None:
-        """Drain, then shut the scheduler down."""
+        """Drain, shut the scheduler down, then join the pool's workers."""
         await self.drain()
         self._stopped = True
         if self._scheduler_task is not None:
@@ -126,6 +129,8 @@ class SimulationService:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._scheduler_task
             self._scheduler_task = None
+        if self._pool is not None:
+            self._pool.close()
 
     async def __aenter__(self) -> "SimulationService":
         self.start()
@@ -220,7 +225,8 @@ class SimulationService:
                 outcomes = await loop.run_in_executor(
                     None, functools.partial(run_batch, points, self.jobs,
                                             self.retries, self.timeout,
-                                            health=self.stats.pool))
+                                            health=self.stats.pool,
+                                            pool=self._pool))
                 # Quarantined points are structured outcomes, not raised
                 # exceptions — a batch that produced *only* poison
                 # records still counts as an infrastructure strike.

@@ -181,6 +181,7 @@ def format_stats(stats: dict) -> str:
         ("journal replays", stats.get("journal_replays", 0)),
         ("worker retries", pool.get("retries", 0)),
         ("worker crashes", pool.get("crashes", 0)),
+        ("worker stalls", pool.get("stalls", 0)),
         ("worker pool restarts", pool.get("restarts", 0)),
         ("poisoned points", pool.get("poisoned", 0)),
         ("queue depth", stats["queue_depth"]),

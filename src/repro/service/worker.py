@@ -4,7 +4,10 @@ The server never simulates on the event loop. Each scheduling tick
 hands a batch of grid points to :func:`run_batch`, which reuses the DSE
 executor's :func:`repro.dse.executor.parallel_map` — the same per-task
 retry and stall-watchdog machinery as ``repro dse`` — inside a thread
-from the loop's default executor.
+from the loop's default executor. With ``jobs > 1`` every batch runs on
+the service's one :class:`~repro.dse.executor.WorkerPool`, which lives
+as long as the service: a worker that crashes or stalls is replaced,
+and the replacement serves the later batches.
 
 :func:`execute_job` converts *expected* failures (``SimulationError``
 and friends) into structured error records instead of raising, so a
@@ -13,18 +16,24 @@ or a batch abort. Only infrastructure failures (worker-process crashes,
 stall-watchdog kills) escape as exceptions and consume the retry
 budget.
 
-Long-lived service workers benefit most from warm-starting
-(:mod:`repro.snapshot`): the snapshot store is process-local, so each
-pool worker accumulates warm state across batches and resubmissions of
-popular (core, config, workload) keys replay their final snapshots
-instead of re-simulating. ``REPRO_SNAPSHOT=0`` in the service
-environment restores the always-cold behaviour; cross-process snapshot
-sharing is an open item in ROADMAP.md.
+Because the workers outlive their batches, each keeps its process-local
+warm state — the assembler memo, the kernel build cache and the snapshot
+store (:mod:`repro.snapshot`) — from one batch to the next: a point
+whose (core, config, workload, iterations) it has already simulated
+skips render and assembly and replays its final snapshot instead of
+re-simulating. ``REPRO_SNAPSHOT=0`` in the service environment restores
+the always-cold simulation; cross-process snapshot sharing is an open
+item in ROADMAP.md.
 """
 
 from __future__ import annotations
 
-from repro.dse.executor import PoolHealth, execute_point, parallel_map
+from repro.dse.executor import (
+    PoolHealth,
+    WorkerPool,
+    execute_point,
+    parallel_map,
+)
 from repro.errors import (
     PoisonPointError,
     QueueFullError,
@@ -92,10 +101,12 @@ def poison_record(index: int, point, attempts: int, reason: str) -> dict:
 
 def run_batch(points, jobs: int = 1, retries: int = 1,
               timeout: float | None = None,
-              health: PoolHealth | None = None) -> list:
+              health: PoolHealth | None = None,
+              pool: WorkerPool | None = None) -> list:
     """Execute one batch; outcome records in *points* order.
 
-    ``jobs > 1`` fans the batch over a process pool with the executor's
+    ``jobs > 1`` fans the batch over a process pool — ``pool`` when
+    given, else one made for this batch — with the executor's
     supervision (per-task deadlines, pool replacement, retry charging);
     ``jobs <= 1`` runs in-process. A point that exhausts its retry
     budget with *infrastructure* failures is quarantined into a
@@ -106,4 +117,4 @@ def run_batch(points, jobs: int = 1, retries: int = 1,
     """
     return parallel_map(execute_job, list(points), jobs=jobs,
                         retries=retries, timeout=timeout,
-                        on_poison=poison_record, health=health)
+                        on_poison=poison_record, health=health, pool=pool)

@@ -1,7 +1,11 @@
 """Grid construction, parallel_map semantics, executor determinism."""
 
+import multiprocessing
 import os
 import pathlib
+import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -14,7 +18,7 @@ from repro.dse import (
     group_suites,
     parallel_map,
 )
-from repro.dse.executor import PoolHealth
+from repro.dse.executor import PoolHealth, WorkerPool
 from repro.errors import ExplorationError
 from repro.harness.experiment import derive_point_seed
 
@@ -55,6 +59,56 @@ def _stall_once(arg):
         marker.unlink()
         time.sleep(60.0)
     return value * 10
+
+
+def _pid(_value):
+    return os.getpid()
+
+
+def _boom_or_stall(arg):
+    """Item 0 raises; any other item wedges while its marker exists."""
+    value, marker_dir = arg
+    if value == 0:
+        raise RuntimeError("boom")
+    return _stall_once(arg)
+
+
+#: Per-task deadline of the pool-lifetime tests: no wait can hang them.
+DEADLINE_S = 30.0
+
+
+def _children() -> set:
+    """PIDs of this process's live multiprocessing children (reaps)."""
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _all_gone(pids, within: float = 10.0) -> bool:
+    """Whether every PID in ``pids`` has exited (and been reaped) in time."""
+    deadline = time.monotonic() + within
+    while True:
+        _children()
+        if not any(_alive(pid) for pid in pids):
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.05)
+
+
+def _pool_workers(pool, before: set) -> set:
+    """Run one call on ``pool`` and return the worker PIDs it started."""
+    pids = set(parallel_map(_pid, range(8), jobs=pool.jobs,
+                            timeout=DEADLINE_S, pool=pool))
+    workers = _children() - before
+    assert pids <= workers and len(workers) == pool.jobs
+    return workers
 
 
 class TestGrid:
@@ -153,6 +207,134 @@ class TestSupervision:
         assert health.retries == 1
         # The stalled process was terminated, not waited out.
         assert time.monotonic() - start < 30.0
+
+    def test_shared_pool_keeps_its_workers_across_calls(self):
+        before = _children()
+        with WorkerPool(2) as pool:
+            workers = _pool_workers(pool, before)
+            again = parallel_map(_pid, range(8), jobs=2, timeout=DEADLINE_S,
+                                 pool=pool)
+            assert set(again) <= workers
+            assert _children() - before == workers
+
+    def test_shared_pool_replaces_dead_worker_for_later_calls(self,
+                                                              tmp_path):
+        (tmp_path / "die-1").touch()
+        health = PoolHealth()
+        before = _children()
+        with WorkerPool(2) as pool:
+            results = parallel_map(_die_once,
+                                   [(v, str(tmp_path)) for v in (1, 2, 3)],
+                                   jobs=2, retries=2, timeout=DEADLINE_S,
+                                   health=health, pool=pool)
+            assert results == [10, 20, 30]
+            assert health.restarts == 1
+            assert health.crashes >= 1
+            replacement = _pool_workers(pool, before)
+            again = parallel_map(_pid, range(8), jobs=2, timeout=DEADLINE_S,
+                                 health=health, pool=pool)
+            assert set(again) <= replacement
+            assert health.restarts == 1
+
+    def test_shared_pool_replaces_workers_that_died_between_calls(self):
+        health = PoolHealth()
+        before = _children()
+        with WorkerPool(2) as pool:
+            first = _pool_workers(pool, before)
+            os.kill(min(first), signal.SIGKILL)
+            # The pool sees the death and tears its other worker down.
+            assert _all_gone(first)
+            results = parallel_map(_double, range(4), jobs=2, retries=0,
+                                   timeout=DEADLINE_S, health=health,
+                                   pool=pool)
+            assert results == [0, 2, 4, 6]
+            # No task of this call ran on the dead pool: none is charged.
+            assert health.as_dict() == {"retries": 0, "crashes": 0,
+                                        "stalls": 0, "restarts": 1,
+                                        "poisoned": 0}
+            assert not _pool_workers(pool, before) & first
+
+    def test_shared_pool_terminates_stalled_worker(self, tmp_path):
+        (tmp_path / "stall-1").touch()
+        health = PoolHealth()
+        before = _children()
+        with WorkerPool(2) as pool:
+            first = _pool_workers(pool, before)
+            started = time.monotonic()
+            results = parallel_map(_stall_once, [(1, str(tmp_path))],
+                                   jobs=2, retries=1, timeout=2.0,
+                                   health=health, pool=pool)
+            assert results == [10]
+            assert time.monotonic() - started < DEADLINE_S
+            assert (health.stalls, health.restarts, health.retries) == \
+                (1, 1, 1)
+            assert _all_gone(first)
+            replacement = _pool_workers(pool, before)
+            assert not replacement & first
+
+    def test_shared_pool_left_with_tasks_in_flight_is_replaced(self,
+                                                               tmp_path):
+        (tmp_path / "stall-1").touch()
+        before = _children()
+        with WorkerPool(2) as pool:
+            first = _pool_workers(pool, before)
+            with pytest.raises(ExplorationError, match="boom"):
+                parallel_map(_boom_or_stall,
+                             [(v, str(tmp_path)) for v in (0, 1)],
+                             jobs=2, retries=0, timeout=DEADLINE_S,
+                             pool=pool)
+            # The wedged task did not run on into the next call.
+            assert _all_gone(first)
+            assert not _pool_workers(pool, before) & first
+
+    def test_closed_pool_joins_workers_and_never_forks(self):
+        before = _children()
+        pool = WorkerPool(2)
+        workers = _pool_workers(pool, before)
+        pool.close()
+        assert not any(_alive(pid) for pid in workers)
+        with pytest.raises(ExplorationError, match="closed"):
+            parallel_map(_pid, range(4), jobs=2, timeout=DEADLINE_S,
+                         pool=pool)
+        pool.replace()
+        pool.close()
+        assert _children() == before
+
+    def test_close_racing_a_caller_leaves_no_worker(self):
+        """A caller thread loops over three workers while the main thread
+        closes the pool, at staggered moments from before the first fork
+        on: every call returns the right results or is refused, none
+        waits out its deadline, and no worker is alive afterwards."""
+        before = _children()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(12):
+                pool = WorkerPool(3)
+                outcome = []
+
+                def caller(pool=pool, outcome=outcome):
+                    try:
+                        while True:
+                            assert parallel_map(
+                                _double, range(6), jobs=3,
+                                timeout=DEADLINE_S,
+                                pool=pool) == [0, 2, 4, 6, 8, 10]
+                    except ExplorationError as exc:
+                        outcome.append(str(exc))
+
+                thread = threading.Thread(target=caller)
+                raced = time.monotonic()
+                thread.start()
+                time.sleep(0.01 * (round_ % 4))
+                pool.close()
+                thread.join(DEADLINE_S)
+                assert not thread.is_alive()
+                assert time.monotonic() - raced < DEADLINE_S / 2
+                assert outcome == ["worker pool is closed"]
+                assert _children() == before
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_health_accumulates_across_batches(self):
         health = PoolHealth()

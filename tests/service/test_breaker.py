@@ -98,7 +98,7 @@ def _request(seed=0, priority="batch"):
 class TestServiceFailFast:
     def test_open_circuit_rejects_new_work_structured(self, monkeypatch):
         def doomed_batch(points, jobs=1, retries=1, timeout=None,
-                         health=None):
+                         health=None, pool=None):
             raise ExplorationError("worker tier is down")
         monkeypatch.setattr("repro.service.server.run_batch", doomed_batch)
 
@@ -121,7 +121,7 @@ class TestServiceFailFast:
         calls = {"n": 0}
 
         def flaky_batch(points, jobs=1, retries=1, timeout=None,
-                        health=None):
+                        health=None, pool=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise ExplorationError("transient infra death")

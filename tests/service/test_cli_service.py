@@ -1,6 +1,7 @@
 """CLI verbs: repro submit / serve / drain, and cross-path identity."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -101,3 +102,36 @@ class TestIdentityAcrossFrontDoors:
                  for payload in (service_payload, dse_payload,
                                  sweep_payload)}
         assert len(blobs) == 1
+
+    def test_submit_on_long_lived_workers_matches_serial(self, tmp_path,
+                                                         capsys):
+        """``--jobs 2 --max-batch 1``: every job is its own batch on the
+        same two workers. One content key comes under three seeds, so at
+        least one worker serves a key it has already simulated (warm
+        build cache and snapshot store); the payloads must not notice."""
+        from repro.dse import DSEExecutor, GridPoint
+        from repro.harness import run_dict
+
+        rows = [ROW, dict(ROW, config="vanilla"), dict(ROW, seed=7),
+                dict(ROW, workload="sem_signal"), dict(ROW, seed=9)]
+        requests = _write_requests(tmp_path / "reqs.jsonl", rows)
+        out = tmp_path / "results.jsonl"
+        stats_json = tmp_path / "stats.json"
+        assert main(["submit", str(requests), "--jobs", "2",
+                     "--max-batch", "1", "--out", str(out),
+                     "--stats-json", str(stats_json), "--quiet"]) == 0
+        capsys.readouterr()
+        assert multiprocessing.active_children() == []
+
+        stats = json.loads(stats_json.read_text())
+        assert stats["batches"] == stats["executed"] == len(rows)
+        assert stats["pool"]["restarts"] == 0
+        points = [GridPoint.from_dict(row) for row in rows]
+        serial = DSEExecutor().run(points)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [record["point"] for record in records] == \
+            [point.as_dict() for point in points]
+        for point, record in zip(points, records):
+            assert record["status"] == "done"
+            assert json.dumps(record["run"], sort_keys=True) == \
+                json.dumps(run_dict(serial[point]), sort_keys=True)

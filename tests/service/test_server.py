@@ -1,6 +1,7 @@
 """Server lifecycle, error propagation and backpressure end to end."""
 
 import asyncio
+import multiprocessing
 import time
 
 import pytest
@@ -123,9 +124,49 @@ class TestErrorPropagation:
         assert second.served_by == "executed"  # not a (stale) cache hit
 
 
+def _children() -> set:
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+class TestWorkerPoolLifetime:
+    def test_workers_serve_every_batch_and_stop_joins_them(self):
+        before = _children()
+
+        async def go():
+            service = SimulationService(
+                jobs=2, policy=BatchPolicy(max_batch=1, max_linger=0.0))
+            async with service:
+                workers = []
+                for seed in (1, 2, 3):
+                    result = await service.submit_and_wait(JobRequest(
+                        core="cv32e40p", config="SLT",
+                        workload="yield_pingpong", iterations=1, seed=seed))
+                    assert result.status == "done"
+                    workers.append(_children() - before)
+                return workers, service.stats
+
+        workers, stats = run(go())
+        assert stats.batches == 3
+        assert len(workers[0]) == 2
+        assert workers[0] == workers[1] == workers[2]
+        assert _children() == before
+
+    def test_single_job_service_runs_in_process(self):
+        before = _children()
+
+        async def go():
+            async with SimulationService(jobs=1) as service:
+                result = await service.submit_and_wait(REQ)
+                assert result.status == "done"
+                assert _children() == before
+
+        run(go())
+
+
 class TestBackpressure:
     def test_queue_full_is_structured_not_blocking(self, monkeypatch):
-        def slow_batch(points, jobs=1, retries=1, timeout=None, health=None):
+        def slow_batch(points, jobs=1, retries=1, timeout=None, health=None,
+                       pool=None):
             time.sleep(0.3)
             return [{"status": "done", "run": {"fake": True}}
                     for _ in points]
@@ -167,7 +208,7 @@ class TestBatching:
         seen_batches = []
 
         def recording_batch(points, jobs=1, retries=1, timeout=None,
-                            health=None):
+                            health=None, pool=None):
             seen_batches.append(len(points))
             return [{"status": "done", "run": {"fake": True}}
                     for _ in points]

@@ -115,3 +115,16 @@ class TestExport:
         assert "coalesce+cache hit rate" in text
         assert "latency p99" in text
         assert "250.0 ms" in text
+
+    def test_render_shows_every_pool_counter(self):
+        stats = ServiceStats(clock=FakeClock())
+        stats.pool.retries, stats.pool.crashes = 11, 12
+        stats.pool.stalls, stats.pool.restarts = 13, 14
+        stats.pool.poisoned = 15
+        rows = dict(line.rsplit(None, 1)
+                    for line in format_stats(stats.as_dict()).splitlines()[2:])
+        assert rows["worker retries"] == "11"
+        assert rows["worker crashes"] == "12"
+        assert rows["worker stalls"] == "13"
+        assert rows["worker pool restarts"] == "14"
+        assert rows["poisoned points"] == "15"
