@@ -6,9 +6,11 @@ seeded :mod:`repro.chaos` policy that crashes workers and corrupts
 result-cache blobs at fixed rates, and must keep interactive
 availability at or above 95% while every delivered payload stays
 byte-identical to the chaos-free golden run (zero silent corruptions,
-by construction of the digest-verified caches). The measured
-availability and p95 job latency land in ``BENCH_chaos.json`` at the
-repo root for EXPERIMENTS.md.
+by construction of the digest-verified caches). The 10 seeded points
+are 5 seeds of each of 2 contents: every cache hit and coalesced job is
+stamped with its own seed, and the golden payloads are kept per seed.
+The measured availability and p95 job latency land in
+``BENCH_chaos.json`` at the repo root for EXPERIMENTS.md.
 """
 
 import asyncio
@@ -31,7 +33,8 @@ from benchmarks.conftest import publish
 BENCH_PATH = (pathlib.Path(__file__).resolve().parent.parent
               / "BENCH_chaos.json")
 TOTAL_JOBS = 30
-UNIQUE_POINTS = 10
+SEEDED_POINTS = 10
+CONTENTS = 2
 CRASH_RATE = 0.12    # worker.run worker_crash probability per visit
 CORRUPT_RATE = 0.25  # cache.read corrupt_blob probability per visit
 CHAOS_SEED = 42
@@ -43,7 +46,7 @@ def _requests():
                          workload="yield_pingpong", iterations=1, seed=seed,
                          priority="interactive")
               for config in ("vanilla", "SLT") for seed in range(5)]
-    assert len(unique) == UNIQUE_POINTS
+    assert len(unique) == SEEDED_POINTS
     rows = list(unique)
     while len(rows) < TOTAL_JOBS:
         rows.append(unique[(len(rows) * 3) % len(unique)])
@@ -68,18 +71,18 @@ def test_chaos_resilience(tmp_path):
     uninstall()
     requests = _requests()
 
-    # Chaos-free golden pass: one payload per unique point.
+    # Chaos-free golden pass: one payload per seeded point.
     golden_service = SimulationService(
         cache=ResultCache(tmp_path / "golden-cache"), queue_depth=256)
     golden = {}
-    for result in _drive(golden_service, requests[:UNIQUE_POINTS]):
+    for result in _drive(golden_service, requests[:SEEDED_POINTS]):
         assert result.ok
         golden[_key(result.request)] = json.dumps(result.run,
                                                   sort_keys=True)
 
     # Chaos pass: same points, seeded host faults on the hot paths. Two
     # waves against a shared cache directory — the second wave's fresh
-    # service has an empty coalescer, so every unique point goes through
+    # service has an empty coalescer, so every seeded point goes through
     # the on-disk cache tier and its reads face the corruption rate.
     policy = ChaosPolicy(seed=CHAOS_SEED, specs=(
         ChaosSpec("worker_crash", "worker.run", rate=CRASH_RATE),
@@ -92,12 +95,12 @@ def test_chaos_resilience(tmp_path):
     with installed(policy):
         results = _drive(
             SimulationService(cache=warm_cache, queue_depth=256),
-            requests[:UNIQUE_POINTS])
+            requests[:SEEDED_POINTS])
         service = SimulationService(cache=cache, queue_depth=256)
         results += _drive(service, requests)
     wall_s = time.perf_counter() - start
 
-    assert len(results) == UNIQUE_POINTS + TOTAL_JOBS
+    assert len(results) == SEEDED_POINTS + TOTAL_JOBS
     done = [r for r in results if r.ok]
     degraded = [r for r in results if not r.ok]
     # Degraded jobs must be structured quarantines, never raw crashes.
@@ -124,7 +127,8 @@ def test_chaos_resilience(tmp_path):
     latency = stats["latency_s"]
     record = bench_record("chaos_resilience", {
         "jobs": len(results),
-        "unique_points": UNIQUE_POINTS,
+        "seeded_points": SEEDED_POINTS,
+        "contents": CONTENTS,
         "chaos_seed": CHAOS_SEED,
         "crash_rate": CRASH_RATE,
         "corrupt_rate": CORRUPT_RATE,

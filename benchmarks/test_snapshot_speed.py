@@ -22,22 +22,33 @@ boundary pass actually resumes (``boundary_hits`` covers every
 workload), and that the warm *and* boundary results are
 **byte-identical** to cold — latencies, every switch record, core
 stats, and the final register banks of the materialized end state.
+
+A second test gates the NumPy substrate under those captures: the
+vectorised snapshot page scans (``REPRO_NUMPY=1``) against the
+bytearray loop fallback on a 1 MiB RAM with scattered dirty bytes must
+be at least ``CAPTURE_SPEEDUP_GATE`` times faster.
+
 Numbers land in ``BENCH_snapshot.json`` at the repo root (see
-docs/SNAPSHOT.md).
+docs/SNAPSHOT.md); each test rewrites only its own keys.
 """
 
 import dataclasses
 import json
 import pathlib
+import random
 import time
+
+import pytest
 
 from repro.harness.experiment import run_suite
 from repro.kernel.builder import KernelBuilder, reset_program_cache
 from repro.mem.regions import MemoryLayout
+from repro.mem.substrate import get_numpy
 from repro.rtosunit.config import parse_config
 from repro.perf import bench_record
 from repro.snapshot import final_system, reset_store, store
 from repro.snapshot.cache import snapshot_key
+from repro.snapshot.pages import capture_image, restore_image
 from repro.workloads.suite import RTOSBENCH_WORKLOADS
 
 from benchmarks.conftest import publish
@@ -52,6 +63,19 @@ WARM_SPEEDUP_GATE = 3.0
 #: more than the plain cold pass.
 CAPTURE_OVERHEAD_CEILING = 2.0
 COLD_REPEATS = 3
+#: Gated: vectorised capture+restore vs the bytearray loop.
+CAPTURE_SPEEDUP_GATE = 3.0
+RAM_BYTES = 1 << 20
+CAPTURE_REPEATS = 3
+
+
+def _write_record(payload: dict) -> None:
+    """Write *payload*'s keys to ``BENCH_snapshot.json``, keeping the
+    keys the other test of this file wrote."""
+    record = (json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists()
+              else {})
+    record.update(bench_record("snapshot_speed", payload))
+    BENCH_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _suite_pass(core, config, monkey_env=None):
@@ -147,7 +171,7 @@ def test_warm_start_speedup():
 
     speedup = cold_wall / warm_wall if warm_wall else float("inf")
     capture_overhead = populate_wall / cold_wall if cold_wall else 1.0
-    record = bench_record("snapshot_speed", {
+    record = {
         "iterations": ITERATIONS,
         "workloads": len(RTOSBENCH_WORKLOADS),
         "headline": {"core": core, "config": config_name,
@@ -161,8 +185,8 @@ def test_warm_start_speedup():
         "capture_overhead": round(capture_overhead, 3),
         "boundary_hits": boundary_hits,
         "store": stats.as_dict(),
-    })
-    BENCH_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    }
+    _write_record(record)
     publish("bench_snapshot_speed", "\n".join([
         f"cold     {cold_wall * 1000:8.1f} ms  (best of {COLD_REPEATS})",
         f"populate {populate_wall * 1000:8.1f} ms  "
@@ -186,3 +210,58 @@ def test_warm_start_speedup():
     assert capture_overhead <= CAPTURE_OVERHEAD_CEILING, (
         f"populate pass costs {capture_overhead:.2f}x cold: snapshot "
         f"capture overhead regressed")
+
+
+def _dirty_ram() -> bytearray:
+    rng = random.Random(1234)
+    data = bytearray(RAM_BYTES)
+    for _ in range(200):
+        addr = rng.randrange(0, RAM_BYTES - 64)
+        data[addr:addr + 64] = rng.randbytes(64)
+    return data
+
+
+def _capture_cycle_cost(env_value: str | None, monkeypatch) -> float:
+    """Best mean seconds per capture-diff-restore cycle on one backend."""
+    if env_value is None:
+        monkeypatch.delenv("REPRO_NUMPY", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_NUMPY", env_value)
+    rng = random.Random(99)
+    data = _dirty_ram()
+    base = capture_image(data)
+    cycles = 30
+    best = float("inf")
+    for _ in range(CAPTURE_REPEATS):
+        start = time.perf_counter()
+        for _ in range(cycles):
+            addr = rng.randrange(0, RAM_BYTES - 4)
+            data[addr:addr + 4] = rng.randbytes(4)
+            capture_image(data, base)
+            restore_image(data, base)
+            base = capture_image(data, base)
+        best = min(best, (time.perf_counter() - start) / cycles)
+    return best
+
+
+@pytest.mark.skipif(get_numpy() is None,
+                    reason="the substrate gate needs numpy")
+def test_vectorised_capture_speedup(monkeypatch):
+    numpy_cost = _capture_cycle_cost(None, monkeypatch)
+    loop_cost = _capture_cycle_cost("0", monkeypatch)
+    monkeypatch.delenv("REPRO_NUMPY", raising=False)
+    speedup = loop_cost / numpy_cost
+    _write_record({"capture": {
+        "ram_bytes": RAM_BYTES,
+        "numpy_ms": round(numpy_cost * 1000.0, 4),
+        "loop_ms": round(loop_cost * 1000.0, 4),
+        "speedup": round(speedup, 2),
+        "gate": CAPTURE_SPEEDUP_GATE,
+    }})
+    publish("bench_snapshot_capture",
+            f"capture/restore 1 MiB: numpy {numpy_cost * 1000:.2f} ms, "
+            f"loop {loop_cost * 1000:.2f} ms "
+            f"({speedup:.1f}x, gate {CAPTURE_SPEEDUP_GATE:.1f}x)")
+    assert speedup >= CAPTURE_SPEEDUP_GATE, (
+        f"vectorised capture/restore only {speedup:.2f}x the loop path "
+        f"(gate {CAPTURE_SPEEDUP_GATE}x)")

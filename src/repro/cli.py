@@ -68,7 +68,7 @@ def _cmd_fig9(args) -> int:
         cache = ResultCache(args.cache_dir)
     results = sweep(cores=cores, configs=configs,
                     iterations=args.iterations, seed=args.seed,
-                    jobs=args.jobs, cache=cache, lanes=args.lanes)
+                    jobs=args.jobs, cache=cache)
     if args.json:
         from repro.harness.export import sweep_dict, write_json
 
@@ -199,75 +199,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _profile_lanes(args) -> int:
-    """Lockstep mode of ``repro profile``: N identical lanes, verified.
-
-    Builds ``--lanes`` identical systems, runs them through the
-    vectorised :class:`repro.lanes.LockstepStepper`, then replays one
-    scalar reference and checks every lane finished byte-identical to
-    it (cycle, instret, console, full RAM digest). Prints the lockstep
-    report counters — occupancy, vector/scalar split, divergences and
-    retirements — which is the telemetry surface the DSE lane mode
-    aggregates.
-    """
-    import hashlib
-    import time
-
-    from repro.kernel.builder import KernelBuilder
-    from repro.lanes import inadmissible_reason, lockstep_run
-    from repro.workloads import workload_by_name
-
-    def build():
-        workload = workload_by_name(args.workload,
-                                    iterations=args.iterations)
-        builder = KernelBuilder(config=parse_config(args.config),
-                                objects=workload.objects,
-                                tick_period=workload.tick_period)
-        system = builder.build(args.core,
-                               external_events=workload.external_events)
-        return workload, system
-
-    workload, probe = build()
-    reason = inadmissible_reason(probe)
-    if reason is not None:
-        print(f"{args.core}/{args.config} is lockstep-inadmissible: "
-              f"{reason}")
-        return 2
-    systems = [probe] + [build()[1] for _ in range(args.lanes - 1)]
-    start = time.perf_counter()
-    report = lockstep_run(systems, max_cycles=workload.max_cycles)
-    elapsed = time.perf_counter() - start
-    _, reference = build()
-    reference.run(max_cycles=workload.max_cycles)
-    ref_digest = hashlib.sha256(bytes(reference.core.mem.data)).digest()
-    mismatches = 0
-    for index, system in enumerate(systems):
-        identical = (
-            system.core.cycle == reference.core.cycle
-            and system.core.stats.instret == reference.core.stats.instret
-            and system.console == reference.console
-            and hashlib.sha256(bytes(system.core.mem.data)).digest()
-            == ref_digest)
-        if not identical:
-            mismatches += 1
-            print(f"  lane {index}: differs from the scalar reference")
-    print(f"lockstep x{args.lanes} {args.core}/{args.config}/"
-          f"{workload.name}: {elapsed * 1000.0:.1f} ms")
-    for key, value in report.as_dict().items():
-        print(f"  {key:16s} {value}")
-    verdict = ("byte-identical" if not mismatches
-               else f"{mismatches} lane(s) differ")
-    print(f"  scalar check     {verdict}")
-    return 0 if not mismatches else 1
-
-
 def _cmd_profile(args) -> int:
     from repro.perf import bench_record, compare_reports, format_report
     from repro.perf import profile_workload
     from repro.workloads import workload_by_name
 
-    if args.lanes >= 2:
-        return _profile_lanes(args)
     workload = workload_by_name(args.workload, iterations=args.iterations)
     config = parse_config(args.config)
     blocks = not args.no_blocks
@@ -572,11 +508,9 @@ def _cmd_dse(args) -> int:
         print("error: --resume needs --cache-dir", file=sys.stderr)
         return 2
     meter = ProgressMeter(len(points), enabled=not args.no_progress)
-    executor = DSEExecutor(jobs=args.jobs, retries=args.retries,
-                           timeout=args.timeout, cache=cache,
-                           manifest=manifest, progress=meter.update,
-                           lanes=args.lanes)
-    runs = executor.run(points)
+    runs = DSEExecutor(jobs=args.jobs, retries=args.retries,
+                       timeout=args.timeout, cache=cache, manifest=manifest,
+                       progress=meter.update).run(points)
     meter.finish()
     suites = group_suites(points, runs)
     design_points = annotate_pareto(evaluate_grid(suites),
@@ -584,8 +518,6 @@ def _cmd_dse(args) -> int:
     cache_stats = (cache.stats.as_dict() if cache is not None
                    else {"hits": 0, "misses": 0, "stores": 0,
                          "invalidated": 0, "hit_rate": 0.0})
-    lane_stats = (executor.lane_stats.as_dict() if args.lanes >= 2
-                  else None)
     if args.json:
         from repro.harness.export import sweep_dict, write_json
 
@@ -599,8 +531,6 @@ def _cmd_dse(args) -> int:
             "frontier": frontier_dict(design_points, objectives),
             "cache": cache_stats,
         }
-        if lane_stats is not None:
-            payload["lanes"] = lane_stats
         write_json(args.json, payload)
         print(f"wrote {args.json}")
     else:
@@ -613,14 +543,6 @@ def _cmd_dse(args) -> int:
               f"{cache_stats['misses']} misses, "
               f"{cache_stats['invalidated']} invalidated "
               f"(hit rate {cache_stats['hit_rate'] * 100.0:.1f}%)")
-    if lane_stats is not None:
-        print(f"lanes: {lane_stats['points']} points in "
-              f"{lane_stats['packs']} packs (occupancy "
-              f"{lane_stats['occupancy']:.2f}); "
-              f"{lane_stats['executed']} executed, "
-              f"{lane_stats['replays']} replayed, "
-              f"{lane_stats['divergences']} divergences, "
-              f"{lane_stats['retirements']} retirements")
     return 0
 
 
@@ -814,9 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base seed recorded on every run")
     p.add_argument("--jobs", type=int, default=1,
                    help="process-pool workers for the grid")
-    p.add_argument("--lanes", type=int, default=0,
-                   help="batch congruent grid points into lane packs "
-                        "of this width (0/1 = per-point dispatch)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="reuse/populate a DSE result cache")
     p.add_argument("--chart", action="store_true",
@@ -852,9 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="process-pool workers for the grid")
-    p.add_argument("--lanes", type=int, default=0,
-                   help="batch congruent grid points into lane packs "
-                        "of this width (0/1 = per-point dispatch)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed result cache directory")
     p.add_argument("--resume", action="store_true",
@@ -883,10 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="vanilla")
     p.add_argument("--workload", default="yield_pingpong")
     p.add_argument("--iterations", type=int, default=40)
-    p.add_argument("--lanes", type=int, default=0,
-                   help="run N identical lanes through the vectorised "
-                        "lockstep stepper, verify byte-identity against "
-                        "a scalar reference, and print the lane report")
     p.add_argument("--no-blocks", action="store_true",
                    help="time the exact per-instruction path instead")
     p.add_argument("--blocks", action="store_true",

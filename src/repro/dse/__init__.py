@@ -8,8 +8,9 @@ extensions for the best latency/area/power trade-off. Four parts:
   retry/timeout and deterministic result ordering, on a per-call pool
   or a long-lived :class:`~repro.dse.executor.WorkerPool`,
 * :mod:`repro.dse.cache` — a content-addressed on-disk result cache
-  (keyed by source fingerprint + grid point + seed) with hit/miss/
-  invalidation accounting and a resume checkpoint manifest,
+  (keyed by source fingerprint + grid point content, without the seed)
+  with hit/miss/invalidation accounting and a resume checkpoint
+  manifest,
 * :mod:`repro.dse.frontier` — latency/jitter/area/fmax/power metric
   vectors per design point and Pareto-dominance analysis,
 * :mod:`repro.dse.telemetry` — the runs/s + cache-hit-rate + ETA

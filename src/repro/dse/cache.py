@@ -3,15 +3,21 @@
 Every cache entry is one JSON file addressed by a fingerprint of
 *everything that determines the run's outcome*:
 
-``key = sha256(schema, source fingerprint, core, config, workload,
-iterations, seed)``
+``key = sha256(schema, source fingerprint, kernel fingerprint, core,
+config, workload, iterations)``
+
+The seed is not in the key: the simulation is deterministic and the
+seed is only recorded on the result, so every seed of a content shares
+one entry, and :meth:`ResultCache.get` stamps the asking point's own
+seed onto the payload it serves.
 
 The source fingerprint hashes the bytes of every ``repro`` module, so
 editing any model invalidates exactly the runs it could have changed —
 there is no mtime heuristic and no TTL. Entries are also named by their
-*logical* point (``cv32e40p-SLT-yield_pingpong-i10-s42``); when a lookup
-misses but a stale file for the same logical point exists (old source
-version), it is removed and counted as an invalidation.
+*logical* content (``cv32e40p-SLT-yield_pingpong-i10``); when a lookup
+misses but a stale file for the same content exists (old source
+version, or an older schema's per-seed file), it is removed and counted
+as an invalidation.
 
 :class:`SweepManifest` is the resume checkpoint: it records the grid and
 which points have completed, so ``python -m repro dse --resume`` can
@@ -35,7 +41,8 @@ _FINGERPRINT: str | None = None
 
 #: Version tag of the cache entry schema (bump on breaking change).
 #: 3: entries carry a payload digest, verified on every read.
-CACHE_SCHEMA = 3
+#: 4: entries address content only; the seed left key and file name.
+CACHE_SCHEMA = 4
 
 
 def payload_digest(payload: dict) -> str:
@@ -48,6 +55,14 @@ def payload_digest(payload: dict) -> str:
     """
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def stamp_payload(payload: dict, point) -> dict:
+    """*payload* as the result of *point*: its ``seed`` field set to
+    ``point.run_seed``, in place of the seed of whichever point of the
+    same content produced it. Key order is kept.
+    """
+    return dict(payload, seed=point.run_seed)
 
 
 def source_fingerprint() -> str:
@@ -71,13 +86,16 @@ def point_key(point, fingerprint: str | None = None) -> str:
     """Content hash addressing one grid point's result.
 
     The single key scheme shared by :class:`ResultCache` and the
-    service-layer coalescer (:mod:`repro.service`): two requests with
-    the same key are guaranteed to produce byte-identical run payloads,
-    so they may legally share one execution.
+    service-layer coalescer (:mod:`repro.service`). It covers the
+    point's :attr:`~repro.dse.executor.GridPoint.content` — core,
+    config, workload and iterations — but not its seed: two
+    requests with the same key produce run payloads that are
+    byte-identical apart from their ``seed`` field, so they may legally
+    share one execution, each stamped with its own seed.
     """
     from repro.personalities import kernel_fingerprint_for_name
 
-    identity = dict(point.as_dict(), schema=CACHE_SCHEMA,
+    identity = dict(point.content, schema=CACHE_SCHEMA,
                     fingerprint=fingerprint or source_fingerprint(),
                     kernel=kernel_fingerprint_for_name(point.config))
     blob = json.dumps(identity, sort_keys=True).encode()
@@ -130,11 +148,14 @@ class ResultCache:
         return point_key(point, self.fingerprint)
 
     def _logical(self, point) -> str:
-        return (f"{point.core}-{point.config}-{point.workload}"
-                f"-i{point.iterations}-s{point.seed}")
+        return "{core}-{config}-{workload}-i{iterations}".format_map(
+            point.content)
+
+    def _path(self, point, key: str) -> pathlib.Path:
+        return self.root / f"{self._logical(point)}.{key[:16]}.json"
 
     def path(self, point) -> pathlib.Path:
-        return self.root / f"{self._logical(point)}.{self.key(point)[:16]}.json"
+        return self._path(point, self.key(point))
 
     # -- lookups -------------------------------------------------------------
 
@@ -146,16 +167,18 @@ class ResultCache:
         payload: anything else — disk rot, a half-written file, a
         mislabelled entry — is evicted, counted as a corrupt eviction
         and reported as a miss, so the caller recomputes instead of
-        trusting damaged state.
+        trusting damaged state. The verified payload is then stamped
+        with *point*'s own seed (see :func:`stamp_payload`).
         """
-        path = self.path(point)
+        key = self.key(point)
+        path = self._path(point, key)
         if path.exists():
             spec = _chaos_fire("cache.read")
             if spec is not None:
                 path.write_bytes(mangle_blob(path.read_bytes(), spec.kind))
             try:
                 entry = json.loads(path.read_text())
-                if entry.get("key") != self.key(point):
+                if entry.get("key") != key:
                     raise ValueError("key mismatch")
                 payload = entry["run"]
                 if entry.get("digest") != payload_digest(payload):
@@ -167,10 +190,14 @@ class ResultCache:
                 self.stats.misses += 1
                 return None
             self.stats.hits += 1
-            return payload
-        # Stale entries for the same logical point (older source
-        # fingerprint / schema) can never hit again: reap and account.
-        stale = sorted(self.root.glob(f"{self._logical(point)}.*.json"))
+            return stamp_payload(payload, point)
+        # Stale entries for the same content can never hit again: an
+        # older source fingerprint or schema, including schema 3's
+        # per-seed ``<content>-s<seed>.<key>.json`` files. Reap and
+        # account.
+        logical = self._logical(point)
+        stale = sorted([*self.root.glob(f"{logical}.*.json"),
+                        *self.root.glob(f"{logical}-s*.json")])
         for old in stale:
             old.unlink(missing_ok=True)
             self.stats.invalidated += 1
@@ -179,15 +206,16 @@ class ResultCache:
 
     def put(self, point, payload: dict) -> None:
         """Store one run payload atomically (write-to-temp, rename)."""
+        key = self.key(point)
         entry = {
             "schema": self.SCHEMA,
-            "key": self.key(point),
+            "key": key,
             "fingerprint": self.fingerprint,
             "digest": payload_digest(payload),
-            "point": point.as_dict(),
+            "point": point.content,
             "run": payload,
         }
-        path = self.path(point)
+        path = self._path(point, key)
         text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
         spec = _chaos_fire("cache.write")
         if spec is not None and spec.kind == "partial_write":
@@ -212,6 +240,8 @@ class SweepManifest:
 
     ``begin()`` resets the manifest whenever the grid changes, so a
     manifest never claims completion for points of a different sweep.
+    Ids name grid points, seed included: the manifest accounts the
+    grid, while the cache holds one entry per content.
     """
 
     def __init__(self, path):
@@ -226,6 +256,7 @@ class SweepManifest:
                 raise ExplorationError(
                     f"corrupt sweep manifest {self.path}: {exc}; delete it "
                     f"to start over") from exc
+        self._done = set(self.data["done"])
 
     @staticmethod
     def point_id(point) -> str:
@@ -236,17 +267,25 @@ class SweepManifest:
         grid = [self.point_id(point) for point in points]
         if self.data.get("grid") != grid:
             self.data = {"grid": grid, "done": []}
+            self._done = set()
             self._save()
 
-    def mark_done(self, point) -> None:
-        pid = self.point_id(point)
-        if pid not in self.data["done"]:
-            self.data["done"].append(pid)
+    def mark_done(self, *points) -> None:
+        """Record *points* as complete: one write for all of them (the
+        grid points one execution or cache hit served), none if every
+        one was already recorded."""
+        fresh = False
+        for point in points:
+            pid = self.point_id(point)
+            if pid not in self._done:
+                self._done.add(pid)
+                self.data["done"].append(pid)
+                fresh = True
+        if fresh:
             self._save()
 
     def done_count(self, points) -> int:
-        done = set(self.data["done"])
-        return sum(1 for point in points if self.point_id(point) in done)
+        return sum(1 for point in points if self.point_id(point) in self._done)
 
     def _save(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from repro.errors import ExplorationError
 
@@ -42,9 +42,11 @@ from repro.errors import ExplorationError
 class GridPoint:
     """One (core, configuration, workload) cell of the exploration grid.
 
-    ``seed`` is the *base* seed of the sweep; the per-run seed is
-    derived from it and the grid position inside the worker (see
-    :func:`repro.harness.experiment.derive_point_seed`).
+    ``seed`` is the *base* seed of the sweep. It is not part of the
+    point's content: (core, config, workload, iterations) alone decide
+    the simulation, and the seed is only recorded on the result as
+    :attr:`run_seed`. Points that differ only in ``seed`` share one
+    execution, one cache entry and one coalesced service job.
     """
 
     core: str
@@ -56,6 +58,28 @@ class GridPoint:
     @property
     def label(self) -> str:
         return f"{self.core}/{self.config}/{self.workload}"
+
+    @property
+    def content(self) -> dict:
+        """Every axis but ``seed``: all that decides the simulation.
+
+        The one definition of a point's identity: :func:`point_key`
+        hashes it, :class:`~repro.dse.cache.ResultCache` names and
+        stores its entries by it, and :class:`DSEExecutor` groups a
+        sweep's points by it.
+        """
+        return {"core": self.core, "config": self.config,
+                "workload": self.workload, "iterations": self.iterations}
+
+    @property
+    def run_seed(self) -> int:
+        """The seed stamped on this point's result: derived from the base
+        seed and the grid position, never from execution order (see
+        :func:`repro.harness.experiment.derive_point_seed`)."""
+        from repro.harness.experiment import derive_point_seed
+
+        return derive_point_seed(self.seed, self.core, self.config,
+                                 self.workload)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -86,17 +110,15 @@ def execute_point(point: GridPoint):
 
     Rebuilds the workload by name so the argument stays a small
     picklable dataclass; returns the full :class:`RunResult` (all its
-    fields are plain dataclasses, so it pickles back intact).
+    fields are plain dataclasses, so it pickles back intact), stamped
+    with the point's :attr:`~GridPoint.run_seed`.
 
-    Warm-starting rides along for free: ``run_workload`` consults the
-    process-local snapshot store (:mod:`repro.snapshot`), so each pool
-    worker pays the cold build + boot + warmup of a content key once and
-    replays it for every later grid point that shares it — typically
-    every (config, workload) column revisited across seeds or repeated
-    sweeps within one worker's lifetime.
+    :class:`DSEExecutor` calls it once per distinct content of a sweep
+    and stamps the other seeds of that content onto copies of the
+    result, so seed-only duplicates never reach a worker.
     """
     from repro.chaos import hooks as chaos_hooks
-    from repro.harness.experiment import derive_point_seed, run_workload
+    from repro.harness.experiment import run_workload
     from repro.rtosunit.config import parse_config
     from repro.workloads import workload_by_name
 
@@ -105,10 +127,8 @@ def execute_point(point: GridPoint):
     chaos_hooks.ensure_from_env()
     chaos_hooks.fire("worker.run")
     workload = workload_by_name(point.workload, iterations=point.iterations)
-    return run_workload(
-        point.core, parse_config(point.config), workload,
-        seed=derive_point_seed(point.seed, point.core, point.config,
-                               point.workload))
+    return run_workload(point.core, parse_config(point.config), workload,
+                        seed=point.run_seed)
 
 
 @dataclass
@@ -400,107 +420,77 @@ def _attempt_serial(worker, item, index: int, retries: int,
 class DSEExecutor:
     """Cache-aware, pool-backed runner for exploration grids.
 
-    ``progress`` is an optional callable receiving
-    ``(point, result, from_cache)`` once per completed grid point;
-    ``manifest`` an optional
-    :class:`repro.dse.cache.SweepManifest` checkpointed after every
-    completion so an interrupted sweep can resume.
+    Grid points that differ only in ``seed`` share one content (see
+    :class:`GridPoint`): each content is looked up in the cache once,
+    simulated at most once per sweep and stored once, and its result is
+    fanned out to every grid point of that content, stamped with the
+    point's own :attr:`~GridPoint.run_seed`. Exports are therefore
+    byte-identical to running every point on its own, at any ``jobs``.
 
-    ``lanes >= 2`` selects the third execution mode (after serial and
-    process-parallel): uncached points are planned into lane packs
-    (:mod:`repro.lanes`) and whole packs are dispatched per worker, so
-    congruent points batch into one simulation plus follower replays and
-    every content key pays its cold build once per sweep. Results stay
-    byte-identical to ``--jobs 1`` (grid-ordered, same derived seeds);
-    pack telemetry accumulates on :attr:`lane_stats`.
+    ``progress`` is an optional callable receiving
+    ``(point, result, from_cache)`` once per grid point; ``manifest`` an
+    optional :class:`repro.dse.cache.SweepManifest` checkpointed once
+    per completed content, covering all of its grid points, so an
+    interrupted sweep can resume.
     """
 
     def __init__(self, jobs: int = 1, retries: int = 1,
                  timeout: float | None = None, cache=None, manifest=None,
-                 progress=None, lanes: int = 0):
-        from repro.lanes import LaneStats
-
+                 progress=None):
         self.jobs = jobs
         self.retries = retries
         self.timeout = timeout
         self.cache = cache
         self.manifest = manifest
         self.progress = progress
-        self.lanes = lanes
         self.health = PoolHealth()
-        self.lane_stats = LaneStats()
 
     def run(self, points) -> dict:
         """Execute (or recall) every grid point; returns point → RunResult.
 
         The returned dict iterates in grid order regardless of cache
-        state or completion order.
+        state or completion order. Each uncached content runs on its
+        first grid point, at any ``jobs``.
         """
         from repro.harness.export import load_run, run_dict
 
         points = list(points)
         if self.manifest is not None:
             self.manifest.begin(points)
-        results = {}
-        pending = []
+        groups: dict = {}
         for point in points:
-            payload = (self.cache.get(point) if self.cache is not None
+            groups.setdefault(tuple(point.content.values()), []).append(point)
+        results = {}
+
+        def fan_out(group, run, from_cache: bool) -> None:
+            for point in group:
+                results[point] = replace(run, seed=point.run_seed)
+            if self.manifest is not None:
+                self.manifest.mark_done(*group)
+            if self.progress is not None:
+                for point in group:
+                    self.progress(point, results[point], from_cache)
+
+        pending = []
+        for group in groups.values():
+            payload = (self.cache.get(group[0]) if self.cache is not None
                        else None)
             if payload is not None:
-                results[point] = load_run(payload)
-                self._complete(point, results[point], from_cache=True)
+                fan_out(group, load_run(payload), from_cache=True)
             else:
-                pending.append(point)
-
-        if self.lanes >= 2:
-            for point, run in self._run_lanes(pending, run_dict):
-                results[point] = run
-            return {point: results[point] for point in points}
+                pending.append(group)
 
         def on_result(index, run):
-            point = pending[index]
+            group = pending[index]
             if self.cache is not None:
-                self.cache.put(point, run_dict(run))
-            self._complete(point, run, from_cache=False)
+                self.cache.put(group[0], run_dict(run))
+            fan_out(group, run, from_cache=False)
 
-        executed = parallel_map(execute_point, pending, jobs=self.jobs,
-                                timeout=self.timeout, retries=self.retries,
-                                on_result=on_result, health=self.health)
-        for point, run in zip(pending, executed):
-            results[point] = run
+        parallel_map(execute_point, [group[0] for group in pending],
+                     jobs=self.jobs, timeout=self.timeout,
+                     retries=self.retries, on_result=on_result,
+                     health=self.health)
         return {point: results[point] for point in points}
-
-    def _run_lanes(self, pending, run_dict):
-        """Lane-mode execution: dispatch whole packs per worker.
-
-        Yields ``(point, run)`` for every pending point. Pack-level
-        retry/timeout supervision rides the same :func:`parallel_map`;
-        a pack is the retry unit (its lanes share one simulation, so a
-        poisoned lane poisons its pack).
-        """
-        from repro.lanes import execute_pack, plan_packs
-
-        packs = plan_packs(pending, self.lanes)
-
-        def on_pack(index, outcome):
-            runs, stats = outcome
-            self.lane_stats.merge(stats)
-            for point, run in zip(packs[index].points, runs):
-                if self.cache is not None:
-                    self.cache.put(point, run_dict(run))
-                self._complete(point, run, from_cache=False)
-
-        executed = parallel_map(execute_pack, packs, jobs=self.jobs,
-                                timeout=self.timeout, retries=self.retries,
-                                on_result=on_pack, health=self.health)
-        for pack, (runs, _stats) in zip(packs, executed):
-            yield from zip(pack.points, runs)
-
-    def _complete(self, point, run, from_cache: bool) -> None:
-        if self.manifest is not None:
-            self.manifest.mark_done(point)
-        if self.progress is not None:
-            self.progress(point, run, from_cache)
 
 
 def group_suites(points, runs: dict) -> dict:

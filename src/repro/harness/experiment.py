@@ -3,7 +3,9 @@
 Every run carries an explicit ``seed``. The cycle simulation itself is
 deterministic, so the seed never perturbs latencies; it exists so that
 (a) stochastic workload variants have a single well-defined entropy
-source, (b) the DSE result cache can address runs content-wise, and
+source, (b) every result records which grid point it answers — the DSE
+result cache and the service address runs by content *without* the
+seed, and stamp each point's own seed onto the shared result — and
 (c) serial and parallel executions of the same grid derive identical
 per-run seeds from the *grid position* rather than from execution
 order — which is what makes ``--jobs 1`` and ``--jobs N`` exports
@@ -166,8 +168,9 @@ def run_workload(core: str, config: RTOSUnitConfig, workload: Workload,
     ``guard`` optionally attaches a hang-proof watchdog
     (:class:`repro.faults.guards.ProgressGuard`); a livelocked workload
     then fails with a structured error instead of spinning to the
-    ``max_cycles`` wall. ``seed`` is recorded on the result and keys the
-    DSE cache; the simulation itself is deterministic.
+    ``max_cycles`` wall. ``seed`` is only recorded on the result; the
+    simulation itself is deterministic, so the DSE cache and the service
+    share one result among all seeds of a content.
 
     Repeat runs are **warm-started** through :mod:`repro.snapshot`: the
     first run of a content key simulates cold and checkpoints itself at
@@ -292,7 +295,7 @@ def _grid_workload_names(workloads, iterations: int) -> list[str] | None:
 
 def sweep(cores=CORE_NAMES, configs=EVALUATED_CONFIGS, iterations: int = 20,
           workloads=None, seed: int = 0, jobs: int = 1, cache=None,
-          progress=None, lanes: int = 0) -> dict[tuple[str, str], SuiteResult]:
+          progress=None) -> dict[tuple[str, str], SuiteResult]:
     """The full Fig. 9 grid: every core × every configuration.
 
     Routed through the :mod:`repro.dse` executor: ``jobs`` fans the grid
@@ -300,11 +303,8 @@ def sweep(cores=CORE_NAMES, configs=EVALUATED_CONFIGS, iterations: int = 20,
     :class:`repro.dse.cache.ResultCache`) makes warm re-runs
     near-instant, and ``progress`` receives one
     ``(point, result, from_cache)`` call per completed grid point.
-    ``lanes >= 2`` batches congruent grid points into lane packs
-    (:mod:`repro.lanes`) so each worker dispatch covers many points.
     Results are keyed and ordered by grid position regardless of
-    completion order, so exports are byte-identical across ``jobs``
-    and ``lanes``.
+    completion order, so exports are byte-identical across ``jobs``.
     """
     names = _grid_workload_names(workloads, iterations)
     if names is None:  # ad-hoc workloads: in-process fallback
@@ -324,5 +324,5 @@ def sweep(cores=CORE_NAMES, configs=EVALUATED_CONFIGS, iterations: int = 20,
     points = build_grid(cores=cores, configs=configs, workloads=names,
                         iterations=iterations, seed=seed)
     runs = DSEExecutor(jobs=jobs, cache=cache,
-                       progress=progress, lanes=lanes).run(points)
+                       progress=progress).run(points)
     return group_suites(points, runs)

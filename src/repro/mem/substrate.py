@@ -1,9 +1,9 @@
 """NumPy execution substrate: one gate, one shared-buffer view helper.
 
-The simulator's byte-level hot paths (snapshot page scans, bulk context
-blits, lane-parallel register files) are vectorised with NumPy when it
-is importable and ``REPRO_NUMPY`` is not switched off. Everything else —
-and every machine without NumPy — runs the original ``bytearray`` code,
+The simulator's byte-level hot paths (snapshot page scans, bulk blob
+loads and word stores) are vectorised with NumPy when it is importable
+and ``REPRO_NUMPY`` is not switched off. Everything else — and every
+machine without NumPy — runs the original ``bytearray`` code,
 and the two backends are held byte-identical by differential tests
 (``tests/mem``, ``tests/snapshot``).
 

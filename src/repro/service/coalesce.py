@@ -1,16 +1,17 @@
 """Request coalescing: dedup against the cache and in-flight work.
 
 Every request is content-hashed with *exactly* the key scheme of the
-DSE result cache (:func:`repro.dse.cache.point_key`): grid point +
-schema + source fingerprint. That shared scheme is what makes coalescing
-safe — two requests with equal keys are guaranteed byte-identical
-results, so they may share one execution:
+DSE result cache (:func:`repro.dse.cache.point_key`): core, config,
+workload and iterations + schema + source fingerprint, but not the
+seed. That shared scheme is what makes coalescing safe — two requests
+with equal keys are guaranteed results that differ only in the recorded
+seed, so they may share one execution:
 
-* **cache**: a completed identical run exists → served immediately,
-  no queue slot consumed;
-* **in-flight**: an identical job is queued or executing → the new
-  request attaches as a *follower* of that leader and resolves with the
-  leader's payload;
+* **cache**: a completed run of the same content exists → served
+  immediately under the request's own seed, no queue slot consumed;
+* **in-flight**: a job of the same content is queued or executing → the
+  new request attaches as a *follower* of that leader and resolves with
+  the leader's payload, stamped with the follower's own seed;
 * **new**: the request takes a queue slot and becomes a leader itself.
 """
 

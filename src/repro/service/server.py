@@ -30,6 +30,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 
+from repro.dse.cache import stamp_payload
 from repro.dse.executor import WorkerPool
 from repro.errors import CircuitOpenError, QueueFullError, ServiceError
 from repro.service.batch import Batcher, BatchPolicy
@@ -64,6 +65,14 @@ class JobResult:
                           run=self.run, error=self.error,
                           served_by=self.served_by,
                           latency_s=self.latency_s)
+
+
+def _stamped(outcome: dict, point) -> dict:
+    """The leader's *outcome* as a follower's: a run payload carries the
+    follower's own seed; an error outcome has no run and passes as is."""
+    if outcome.get("run") is None:
+        return outcome
+    return dict(outcome, run=stamp_payload(outcome["run"], point))
 
 
 @dataclass
@@ -265,4 +274,5 @@ class SimulationService:
                 self.coalescer.release(job.key)
                 self._resolve(job, outcome, served_by="executed")
                 for follower in job.followers:
-                    self._resolve(follower, outcome, served_by="coalesced")
+                    self._resolve(follower, _stamped(outcome, follower.point),
+                                  served_by="coalesced")

@@ -39,7 +39,7 @@ class TestSerialParallelIdentity:
         key = ("cv32e40p", "SLT")
         # The simulation is deterministic: latencies don't move...
         assert a[key].runs[0].latencies == b[key].runs[0].latencies
-        # ...but the recorded per-run seeds (and hence cache keys) do.
+        # ...but the recorded per-run seeds do (cache keys do not).
         assert a[key].runs[0].seed != b[key].runs[0].seed
 
 

@@ -1,5 +1,6 @@
 """Grid construction, parallel_map semantics, executor determinism."""
 
+import json
 import multiprocessing
 import os
 import pathlib
@@ -7,6 +8,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,9 +20,14 @@ from repro.dse import (
     group_suites,
     parallel_map,
 )
+from repro.dse import ResultCache
+from repro.dse import executor as executor_module
 from repro.dse.executor import PoolHealth, WorkerPool
 from repro.errors import ExplorationError
 from repro.harness.experiment import derive_point_seed
+from repro.harness.export import run_dict, sweep_dict
+
+from tests.dse.helpers import CONTENTS, reference_payload, seeded_grid
 
 
 def _double(value):
@@ -123,6 +130,27 @@ class TestGrid:
         point = GridPoint("cv32e40p", "SLT", "yield_pingpong", 2, 1)
         assert {point: 1}[point] == 1
         assert point.as_dict()["config"] == "SLT"
+
+    def test_run_seed_derives_from_seed_and_grid_position(self):
+        point = GridPoint("cv32e40p", "SLT", "yield_pingpong", 2, seed=5)
+        assert point.run_seed == derive_point_seed(
+            5, "cv32e40p", "SLT", "yield_pingpong")
+        assert replace(point, iterations=7).run_seed == point.run_seed
+        for other in (replace(point, seed=6), replace(point, core="cva6"),
+                      replace(point, config="T"),
+                      replace(point, workload="sem_signal")):
+            assert other.run_seed != point.run_seed
+
+    def test_content_is_every_axis_but_the_seed(self):
+        point = GridPoint("cv32e40p", "SLT", "yield_pingpong", 2, seed=5)
+        axes = point.as_dict()
+        del axes["seed"]
+        assert point.content == axes
+        assert replace(point, seed=6).content == point.content
+        for other in (replace(point, core="cva6"), replace(point, config="T"),
+                      replace(point, workload="sem_signal"),
+                      replace(point, iterations=3)):
+            assert other.content != point.content
 
 
 class TestParallelMap:
@@ -397,3 +425,83 @@ class TestDSEExecutor:
             assert [r.workload for r in suite.runs] == \
                 ["yield_pingpong", "sem_signal"]
             assert suite.stats.count > 0
+
+
+class TestContentAddressing:
+    """Seed-only duplicates share one execution, stamped per point."""
+
+    def test_execute_point_runs_once_per_content_serial(self, monkeypatch):
+        executed = []
+        real = executor_module.execute_point
+
+        def counting(point):
+            executed.append(point)
+            return real(point)
+
+        monkeypatch.setattr(executor_module, "execute_point", counting)
+        grid = seeded_grid()
+        runs = DSEExecutor(jobs=1).run(grid)
+        # One representative per content: its first grid point.
+        assert executed == grid[:len(CONTENTS)]
+        assert list(runs) == grid
+
+    def test_pool_receives_one_item_per_content(self, monkeypatch):
+        dispatched = []
+        real = executor_module.parallel_map
+
+        def recording(worker, items, *args, **kwargs):
+            items = list(items)
+            dispatched.append(items)
+            return real(worker, items, *args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "parallel_map", recording)
+        grid = seeded_grid()
+        DSEExecutor(jobs=2).run(grid)
+        assert dispatched == [grid[:len(CONTENTS)]]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_point_carries_its_own_seed(self, jobs):
+        grid = seeded_grid()
+        seen = []
+        runs = DSEExecutor(
+            jobs=jobs,
+            progress=lambda point, run, cached: seen.append(point)).run(grid)
+        assert sorted(seen, key=grid.index) == grid
+        for point in grid:
+            assert runs[point].seed == point.run_seed
+            assert run_dict(runs[point]) == reference_payload(point)
+
+    def test_iterations_split_contents(self, monkeypatch):
+        executed = []
+        real = executor_module.execute_point
+
+        def counting(point):
+            executed.append(point)
+            return real(point)
+
+        monkeypatch.setattr(executor_module, "execute_point", counting)
+        grid = [GridPoint("cv32e40p", "SLT", "yield_pingpong",
+                          iterations=iterations, seed=seed)
+                for seed in (1, 2) for iterations in (1, 2)]
+        runs = DSEExecutor(jobs=1).run(grid)
+        assert executed == grid[:2]
+        for point in grid:
+            assert run_dict(runs[point]) == reference_payload(point)
+
+    def test_progress_once_per_point_with_its_cache_state(self, tmp_path):
+        grid = seeded_grid()
+        for from_cache in (False, True):
+            seen = []
+            DSEExecutor(jobs=1, cache=ResultCache(tmp_path),
+                        progress=lambda point, run, cached: seen.append(
+                            (point, run.seed, cached))).run(grid)
+            assert sorted(seen, key=lambda call: grid.index(call[0])) == [
+                (point, point.run_seed, from_cache) for point in grid]
+
+    def test_exports_identical_across_jobs(self):
+        grid = seeded_grid()
+        exports = [
+            json.dumps(sweep_dict(group_suites(
+                grid, DSEExecutor(jobs=jobs).run(grid))), sort_keys=True)
+            for jobs in (1, 2)]
+        assert exports[0] == exports[1]

@@ -105,10 +105,11 @@ class TestIdentityAcrossFrontDoors:
 
     def test_submit_on_long_lived_workers_matches_serial(self, tmp_path,
                                                          capsys):
-        """``--jobs 2 --max-batch 1``: every job is its own batch on the
-        same two workers. One content key comes under three seeds, so at
-        least one worker serves a key it has already simulated (warm
-        build cache and snapshot store); the payloads must not notice."""
+        """``--jobs 2 --max-batch 1``: every distinct content is its own
+        batch on the same two workers. One content comes under three
+        seeds; its two later requests coalesce onto the first and are
+        stamped with their own seeds. The payloads must equal serial
+        per-point execution byte for byte."""
         from repro.dse import DSEExecutor, GridPoint
         from repro.harness import run_dict
 
@@ -124,7 +125,8 @@ class TestIdentityAcrossFrontDoors:
         assert multiprocessing.active_children() == []
 
         stats = json.loads(stats_json.read_text())
-        assert stats["batches"] == stats["executed"] == len(rows)
+        contents = {(row["config"], row["workload"]) for row in rows}
+        assert stats["batches"] == stats["executed"] == len(contents) == 3
         assert stats["pool"]["restarts"] == 0
         points = [GridPoint.from_dict(row) for row in rows]
         serial = DSEExecutor().run(points)

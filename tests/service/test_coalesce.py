@@ -1,9 +1,9 @@
 """Coalescing and dedup: the service's core efficiency guarantee.
 
 Includes the subsystem acceptance test: 50 concurrent submissions over
-20 unique grid points must complete with at least 60% of jobs served by
-coalescing or the cache — i.e. at most one real execution per unique
-point.
+20 seeded grid points (10 seeds of each of 2 contents) must complete
+with at least 60% of jobs served by coalescing or the cache — i.e. at
+most one real execution per content.
 """
 
 import asyncio
@@ -28,8 +28,17 @@ class TestKeyScheme:
         coalescer = Coalescer(fingerprint="f00d")
         base = coalescer.key(_point(seed=0))
         assert coalescer.key(_point(seed=0)) == base
-        assert coalescer.key(_point(seed=1)) != base
+        assert coalescer.key(_point(seed=1)) == base
         assert coalescer.key(_point(config="S")) != base
+        assert coalescer.key(GridPoint(core="cva6", config="SLT",
+                                       workload="yield_pingpong",
+                                       iterations=1)) != base
+        assert coalescer.key(GridPoint(core="cv32e40p", config="SLT",
+                                       workload="sem_signal",
+                                       iterations=1)) != base
+        assert coalescer.key(GridPoint(core="cv32e40p", config="SLT",
+                                       workload="yield_pingpong",
+                                       iterations=2)) != base
 
     def test_fingerprint_inherited_from_cache(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="abcd")
@@ -50,17 +59,27 @@ class TestLookup:
         assert coalescer.lookup(point)[0] == "new"
         assert coalescer.inflight_count == 0
 
+    def test_seed_twin_joins_the_leader(self):
+        coalescer = Coalescer(fingerprint="f00d")
+        kind, key = coalescer.lookup(_point(seed=0))
+        leader = object()
+        coalescer.lease(key, leader)
+        assert coalescer.lookup(_point(seed=5)) == ("inflight", leader)
+        assert coalescer.lookup(_point(seed=0, config="S"))[0] == "new"
+
     def test_cache_hit_preferred_over_enqueue(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="f00d")
         point = _point()
-        cache.put(point, {"fake": "payload"})
+        fake = {"fake": "payload", "seed": point.run_seed}
+        cache.put(point, fake)
         kind, payload = Coalescer(cache).lookup(point)
         assert kind == "cache"
-        assert payload == {"fake": "payload"}
+        assert payload == fake
 
 
 class TestAcceptance:
-    """50 submissions, 20 unique points, >= 60% coalesce+cache."""
+    """50 submissions, 20 seeded points of 2 contents, >= 60%
+    coalesce+cache."""
 
     def test_50_jobs_over_20_points(self, tmp_path):
         unique = [JobRequest(core="cv32e40p", config=config,
@@ -69,7 +88,7 @@ class TestAcceptance:
                   for config in ("vanilla", "SLT")
                   for seed in range(10)]
         assert len(unique) == 20
-        # 50 requests: every unique point once, then 30 duplicates
+        # 50 requests: every seeded point once, then 30 duplicates
         # interleaved deterministically.
         requests = list(unique)
         while len(requests) < 50:
@@ -90,7 +109,7 @@ class TestAcceptance:
         assert all(result.ok for result in results)
         stats = service.stats
         assert stats.failed == 0
-        assert stats.executed <= 20  # one real simulation per unique point
+        assert stats.executed <= 2  # at most one simulation per content
         assert stats.cache_hits + stats.coalesced >= 30
         assert stats.hit_rate >= 0.6
         # Identical requests produced identical payloads.

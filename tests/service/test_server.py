@@ -1,6 +1,7 @@
 """Server lifecycle, error propagation and backpressure end to end."""
 
 import asyncio
+import json
 import multiprocessing
 import time
 
@@ -12,6 +13,8 @@ from repro.errors import (
     ServiceError,
     SimulationError,
 )
+from repro.dse import ResultCache
+from repro.harness.experiment import derive_point_seed
 from repro.harness.export import SWEEP_SCHEMA, load_run
 from repro.service import BatchPolicy, JobRequest, SimulationService
 from repro.service import worker as worker_module
@@ -23,6 +26,11 @@ REQ = JobRequest(core="cv32e40p", config="SLT", workload="yield_pingpong",
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def _seed_of(request) -> int:
+    return derive_point_seed(request.seed, request.core, request.config,
+                             request.workload)
 
 
 class TestHappyPath:
@@ -181,11 +189,12 @@ class TestBackpressure:
                 first = await service.submit(REQ)   # dispatches
                 futures = [first]
                 rejections = 0
-                # Fill the single queue slot, then overflow it.
-                for seed in range(1, 6):
+                # Fill the single queue slot, then overflow it. Each
+                # request is a distinct content, so none coalesces.
+                for iterations in range(2, 7):
                     request = JobRequest(core="cv32e40p", config="SLT",
                                          workload="yield_pingpong",
-                                         iterations=1, seed=seed)
+                                         iterations=iterations, seed=0)
                     try:
                         futures.append(await service.submit(request))
                     except QueueFullError as exc:
@@ -221,8 +230,9 @@ class TestBatching:
             async with service:
                 futures = [await service.submit(
                     JobRequest(core="cv32e40p", config="SLT",
-                               workload="yield_pingpong", iterations=1,
-                               seed=seed)) for seed in range(8)]
+                               workload="yield_pingpong",
+                               iterations=iterations, seed=0))
+                    for iterations in range(1, 9)]
                 await asyncio.gather(*futures)
                 return service.stats
         stats = run(go())
@@ -232,3 +242,66 @@ class TestBatching:
         assert stats.batches == len(seen_batches)
         assert stats.mean_batch_fill == pytest.approx(
             8 / len(seen_batches))
+
+
+class TestSeedStamping:
+    """A shared execution or cache entry answers under the asker's seed:
+    the payload is the leader's byte for byte, apart from ``seed``."""
+
+    OTHER = JobRequest(core="cv32e40p", config="SLT",
+                       workload="yield_pingpong", iterations=1, seed=5)
+
+    def test_coalesced_follower_is_stamped(self):
+        async def go():
+            async with SimulationService() as service:
+                leader = await service.submit(REQ)
+                follower = await service.submit(self.OTHER)
+                return await leader, await follower
+
+        leader, follower = run(go())
+        assert leader.served_by == "executed"
+        assert follower.served_by == "coalesced"
+        assert leader.run["seed"] == _seed_of(REQ)
+        assert follower.run["seed"] == _seed_of(self.OTHER) != _seed_of(REQ)
+        assert json.dumps(follower.run) == \
+            json.dumps(dict(leader.run, seed=_seed_of(self.OTHER)))
+
+    def test_error_outcome_reaches_follower_unchanged(self, monkeypatch):
+        def explode(point):
+            raise SimulationError("task stack corrupted", pc=0x1234,
+                                  cycle=999, kind="livelock")
+        monkeypatch.setattr(worker_module, "execute_point", explode)
+
+        async def go():
+            service = SimulationService()
+            service.start()
+            leader = await service.submit(REQ)
+            follower = await service.submit(self.OTHER)
+            # Bounded: a scheduler that died on the error outcome would
+            # leave the follower unresolved and stop() draining forever.
+            done, _ = await asyncio.wait([leader, follower], timeout=10)
+            assert len(done) == 2, "a coalesced job never resolved"
+            await service.stop()
+            return leader.result(), follower.result()
+
+        leader, follower = run(go())
+        assert follower.served_by == "coalesced"
+        assert leader.status == follower.status == "error"
+        assert leader.run is None and follower.run is None
+        assert follower.error == leader.error
+        assert follower.error["type"] == "SimulationError"
+
+    def test_cache_hit_is_stamped(self, tmp_path):
+        async def go(request):
+            cache = ResultCache(tmp_path, fingerprint="f00d")
+            async with SimulationService(cache=cache) as service:
+                return await service.submit_and_wait(request)
+
+        writer = run(go(REQ))
+        hit = run(go(self.OTHER))
+        assert writer.served_by == "executed"
+        assert hit.served_by == "cache"
+        assert writer.run["seed"] == _seed_of(REQ)
+        assert hit.run["seed"] == _seed_of(self.OTHER)
+        assert json.dumps(hit.run, sort_keys=True) == json.dumps(
+            dict(writer.run, seed=_seed_of(self.OTHER)), sort_keys=True)

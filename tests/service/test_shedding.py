@@ -89,8 +89,8 @@ class TestServiceShedding:
             # Stall the scheduler so the queue holds depth: no batches.
             service.batcher.next_batch = _never_ready
             service.start()
-            for seed in range(2):
-                await service.submit(_request("bulk", seed))
+            for iterations in range(1, 3):
+                await service.submit(_request("bulk", iterations))
             with pytest.raises(QueueFullError) as exc_info:
                 await service.submit(_request("bulk", 99))
             assert exc_info.value.tier == "bulk"
@@ -103,9 +103,11 @@ class TestServiceShedding:
         async def _never_ready():
             await asyncio.sleep(3600)
 
-        def _request(priority, seed):
+        def _request(priority, iterations):
+            # Distinct iterations make distinct contents: none coalesces.
             return JobRequest(core="cv32e40p", config="SLT",
-                              workload="yield_pingpong", iterations=1,
-                              seed=seed, priority=priority)
+                              workload="yield_pingpong",
+                              iterations=iterations, seed=0,
+                              priority=priority)
 
         asyncio.run(go())

@@ -165,6 +165,31 @@ class TestDseCommand:
         assert "resume: 1/1 grid points already complete" in \
             capsys.readouterr().out
 
+    def test_cache_written_under_one_seed_serves_another(self, tmp_path,
+                                                          capsys):
+        import json
+
+        argv = ["dse", "--cores", "cv32e40p", "--configs", "vanilla,SLT",
+                "--workloads", "yield_pingpong", "--iterations", "2",
+                "--no-progress"]
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        exports = {name: tmp_path / f"{name}.json"
+                   for name in ("seed42", "warm", "reference")}
+        assert main(argv + cache + ["--seed", "42",
+                                    "--json", str(exports["seed42"])]) == 0
+        assert main(argv + cache + ["--seed", "7",
+                                    "--json", str(exports["warm"])]) == 0
+        assert main(argv + ["--seed", "7",
+                            "--json", str(exports["reference"])]) == 0
+        capsys.readouterr()
+        data = {name: json.loads(path.read_text())
+                for name, path in exports.items()}
+        assert data["warm"]["cache"]["hit_rate"] == 1.0
+        assert data["warm"]["sweep"] == data["reference"]["sweep"]
+        assert data["warm"]["frontier"] == data["reference"]["frontier"]
+        # The hits carry seed 7's stamps, not the writer's.
+        assert data["warm"]["sweep"] != data["seed42"]["sweep"]
+
     def test_bad_objectives_fail(self, capsys):
         assert main(["dse", "--objectives", "latency,speed"]) == 1
         assert "unknown objective" in capsys.readouterr().err
