@@ -55,7 +55,6 @@ OUTCOMES: tuple[str, ...] = ("masked", "detected", "degraded", "failed")
 HEALING_COUNTERS: tuple[str, ...] = (
     "cache_corrupt_evictions",
     "build_corrupt_evictions",
-    "snapshot_corrupt_evictions",
     "worker_retries",
     "worker_crashes",
     "pool_restarts",
@@ -71,16 +70,14 @@ class Episode:
 
     ``mode`` selects the front door (``service`` = in-process submit,
     ``spool`` = the file-spool protocol with a threaded server);
-    ``cached`` enables the result-cache tier; ``env`` holds environment
-    overrides scoped to the episode; ``submits`` sequential submissions
-    of the campaign's single request.
+    ``cached`` enables the result-cache tier; ``submits`` sequential
+    submissions of the campaign's single request.
     """
 
     name: str
     spec: ChaosSpec
     mode: str = "service"
     cached: bool = False
-    env: tuple = ()
     submits: int = 1
 
 
@@ -106,20 +103,13 @@ def _episodes() -> tuple[Episode, ...]:
         Episode("build-read-corrupt",
                 ChaosSpec("corrupt_blob", "build.read", at=1,
                           note="bit flip in the program cache"),
-                env=(("REPRO_SNAPSHOT", "0"),), submits=2),
-        Episode("snapshot-read-corrupt",
-                ChaosSpec("corrupt_blob", "snapshot.read", at=1,
-                          note="bit flip in a warm snapshot"),
-                env=(("REPRO_SNAPSHOT_VERIFY", "1"),), submits=2),
+                submits=2),
         Episode("worker-crash-retry",
                 ChaosSpec("worker_crash", "worker.run", at=1,
                           note="worker dies once, retry succeeds")),
         Episode("worker-crash-poison",
                 ChaosSpec("worker_crash", "worker.run", at=0, rate=1.0,
                           note="worker dies every attempt")),
-        Episode("boundary-crash-resume",
-                ChaosSpec("worker_crash", "worker.boundary", at=1,
-                          note="dies after banking warm state")),
         Episode("spool-result-dropped",
                 ChaosSpec("drop_result", "spool.result", at=1,
                           note="result write silently lost"),
@@ -185,27 +175,9 @@ class CampaignSpec:
 # -- execution ---------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _env_overrides(overrides):
-    saved = {}
-    for key, value in overrides:
-        saved[key] = os.environ.get(key)
-        os.environ[key] = value
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 def _reset_warm_state() -> None:
     from repro.kernel.builder import reset_program_cache
-    from repro.snapshot import reset_store
 
-    reset_store()
     reset_program_cache()
 
 
@@ -226,7 +198,6 @@ def _drive_service(episode: Episode, request, workdir) -> tuple[list, dict]:
     from repro.dse.cache import ResultCache
     from repro.kernel.builder import BUILD_CACHE_HEALTH
     from repro.service import SimulationService
-    from repro.snapshot import store
 
     cache = (ResultCache(os.path.join(workdir, episode.name))
              if episode.cached else None)
@@ -245,8 +216,6 @@ def _drive_service(episode: Episode, request, workdir) -> tuple[list, dict]:
         "cache_corrupt_evictions": (cache.stats.corrupt_evictions
                                     if cache is not None else 0),
         "build_corrupt_evictions": BUILD_CACHE_HEALTH.corrupt_evictions,
-        "snapshot_corrupt_evictions": store().stats.corrupt_evictions,
-        "boundary_hits": store().stats.boundary_hits,
         "worker_retries": stats.pool.retries,
         "worker_crashes": stats.pool.crashes,
         "pool_restarts": stats.pool.restarts,
@@ -300,8 +269,6 @@ def _drive_spool(episode: Episode, request, workdir) -> tuple[list, dict]:
     counters = {
         "cache_corrupt_evictions": 0,
         "build_corrupt_evictions": 0,
-        "snapshot_corrupt_evictions": 0,
-        "boundary_hits": 0,
         "worker_retries": pool.get("retries", 0),
         "worker_crashes": pool.get("crashes", 0),
         "pool_restarts": pool.get("restarts", 0),
@@ -342,10 +309,7 @@ def _classify(outcomes: list, counters: dict, golden: str) -> tuple[str, str]:
             detail += f"; healed: {', '.join(healed)}"
         return "degraded", detail
     if healed:
-        detail = f"healed: {', '.join(healed)}"
-        if counters.get("boundary_hits"):
-            detail += f"; boundary_hits={counters['boundary_hits']}"
-        return "detected", detail
+        return "detected", f"healed: {', '.join(healed)}"
     return "masked", "behaviour identical to golden run"
 
 
@@ -371,7 +335,7 @@ def run_campaign(spec: CampaignSpec, workdir=None,
     """Execute every episode; deterministic for a given *spec*.
 
     ``workdir`` holds the per-episode caches and spools (a temporary
-    directory by default). Warm state (snapshot store, program cache) is
+    directory by default). Warm state (the program cache) is
     reset before the golden run and before each episode, so episodes
     cannot contaminate each other and the table is order-independent.
     """
@@ -416,18 +380,17 @@ def _run_episode(episode: Episode, request, workdir, seed: int,
                  golden: str) -> EpisodeResult:
     policy = ChaosPolicy(specs=(episode.spec,), seed=seed)
     drive = _drive_spool if episode.mode == "spool" else _drive_service
-    with _env_overrides(episode.env):
-        _reset_warm_state()
-        try:
-            with hooks.installed(policy):
-                outcomes, counters = drive(episode, request, workdir)
-        except (Exception, asyncio.TimeoutError) as exc:  # noqa: BLE001
-            # Anything escaping the stack — including a campaign-level
-            # timeout — is exactly what "failed" means.
-            return EpisodeResult(
-                name=episode.name, site=episode.spec.site,
-                kind=episode.spec.kind, outcome="failed",
-                detail=f"unstructured {type(exc).__name__} escaped")
+    _reset_warm_state()
+    try:
+        with hooks.installed(policy):
+            outcomes, counters = drive(episode, request, workdir)
+    except (Exception, asyncio.TimeoutError) as exc:  # noqa: BLE001
+        # Anything escaping the stack — including a campaign-level
+        # timeout — is exactly what "failed" means.
+        return EpisodeResult(
+            name=episode.name, site=episode.spec.site,
+            kind=episode.spec.kind, outcome="failed",
+            detail=f"unstructured {type(exc).__name__} escaped")
     outcome, detail = _classify(outcomes, counters, golden)
     return EpisodeResult(name=episode.name, site=episode.spec.site,
                          kind=episode.spec.kind, outcome=outcome,

@@ -236,36 +236,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_snapshot(args) -> int:
-    """Cold-vs-warm demo of the warm-start engine (docs/SNAPSHOT.md)."""
-    import time
-
-    from repro.harness import run_suite
-    from repro.snapshot import reset_store, snapshot_enabled, store
-
-    if not snapshot_enabled():
-        print("warm-start is disabled (REPRO_SNAPSHOT=0); nothing to show")
-        return 1
-    config = parse_config(args.config)
-    reset_store()
-    start = time.perf_counter()
-    run_suite(args.core, config, iterations=args.iterations)
-    cold = time.perf_counter() - start
-    start = time.perf_counter()
-    run_suite(args.core, config, iterations=args.iterations)
-    warm = time.perf_counter() - start
-    stats = store().stats
-    print(f"suite on {args.core}/{args.config} ({args.iterations} "
-          f"iterations):")
-    print(f"  cold (populate): {cold * 1000:8.1f} ms")
-    print(f"  warm (replay):   {warm * 1000:8.1f} ms  "
-          f"({cold / warm:.1f}x)" if warm else "  warm: ~0 ms")
-    print(f"  store: {len(store())} entries")
-    for key, value in stats.as_dict().items():
-        print(f"    {key:18s} {value}")
-    return 0
-
-
 def _cmd_trace(args) -> int:
     from repro.cores import attach_tracer, format_switch_timeline
     from repro.kernel.builder import KernelBuilder
@@ -815,12 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perf-json", default=None, metavar="FILE",
                    help="write the report (and baseline) as JSON")
 
-    p = sub.add_parser(
-        "snapshot", help="warm-start engine demo: cold vs warm suite")
-    p.add_argument("--core", default="cv32e40p", choices=CORE_NAMES)
-    p.add_argument("--config", default="vanilla")
-    p.add_argument("--iterations", type=int, default=20)
-
     p = sub.add_parser("trace", help="instruction trace + switch timeline")
     p.add_argument("--core", default="cv32e40p", choices=CORE_NAMES)
     p.add_argument("--config", default="SLT")
@@ -992,7 +956,6 @@ _COMMANDS = {
     "wcet": _cmd_wcet,
     "dse": _cmd_dse,
     "profile": _cmd_profile,
-    "snapshot": _cmd_snapshot,
     "trace": _cmd_trace,
     "verify": _cmd_verify,
     "run": _cmd_run,

@@ -23,7 +23,8 @@ Entry points:
   CLI paths;
 * :class:`WorkerPool` — the supervised pool itself; a caller that keeps
   one across :func:`parallel_map` calls (the simulation service) keeps
-  its workers, and their process-local warm state, between calls;
+  its workers, and their assembler memo and kernel build cache, between
+  calls;
 * :class:`DSEExecutor` — the cache-aware grid runner behind
   :func:`repro.harness.sweep` and ``python -m repro dse``.
 """
@@ -31,6 +32,7 @@ Entry points:
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import threading
 import time
 from dataclasses import asdict, dataclass, replace
@@ -186,11 +188,11 @@ class WorkerPool:
 
     Workers start on the first :meth:`submit` and live until
     :meth:`replace` or :meth:`close`, so everything a worker keeps in
-    its process — the assembler memo, the kernel build cache, the
-    snapshot store — carries over from one call to the next. Workers
-    are forked (the platform default), so they inherit the parent's
-    environment and chaos policy as they are when the pool starts or
-    restarts, not as they are at each call.
+    its process — the assembler memo, the kernel build cache — carries
+    over from one call to the next. Workers are always forked, whatever
+    the platform's default start method, so they inherit the parent's
+    environment, chaos policy and module state as they are when the
+    pool starts or restarts, not as they are at each call.
 
     Submission may come from one thread while another closes the pool:
     start, replacement and close hold one lock, and a closed pool
@@ -211,7 +213,8 @@ class WorkerPool:
                 raise ExplorationError("worker pool is closed")
             if self._executor is None:
                 self._executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.jobs)
+                    max_workers=self.jobs,
+                    mp_context=multiprocessing.get_context("fork"))
             return self._executor.submit(worker, item)
 
     def replace(self) -> None:

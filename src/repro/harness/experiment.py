@@ -102,7 +102,7 @@ class SuiteResult:
 
 def _result_from(system, core: str, config: RTOSUnitConfig,
                  workload: Workload, seed: int) -> RunResult:
-    """Distil a finished (or restored-final) system into a RunResult."""
+    """Distil a finished system into a RunResult."""
     switches = system.switches[workload.warmup_switches:]
     latencies = [s.latency for s in switches]
     return RunResult(
@@ -120,46 +120,6 @@ def _result_from(system, core: str, config: RTOSUnitConfig,
     )
 
 
-def _check_exit(exit_code: int, core: str, config: RTOSUnitConfig,
-                workload: Workload, system) -> None:
-    if exit_code not in (0, 42):
-        raise SimulationError(
-            f"workload {workload.name} on {core}/{config.name} exited "
-            f"with {exit_code:#x}",
-            pc=system.core.pc, cycle=system.core.cycle)
-
-
-def _arm_boundary_capture(system, entry, warmup: int, stats) -> None:
-    """Capture the post-warmup boundary snapshot when the run reaches it.
-
-    The hook fires at the end of each completed context switch; once
-    ``warmup`` switches have retired the system is checkpointed and the
-    hook detaches itself — the rest of the run pays nothing.
-
-    The ``worker.boundary`` chaos site fires right *after* the capture:
-    an injected crash there models a worker dying mid-run with warm
-    state already banked, so the retry (same process) enters through
-    the boundary-resume tier instead of simulating cold again.
-    """
-    from repro.chaos.hooks import fire as chaos_fire
-
-    if warmup <= 0:
-        # No warmup phase: the boot image itself is the boundary.
-        entry.boundary = system.capture()
-        stats.boundary_captures += 1
-        chaos_fire("worker.boundary")
-        return
-
-    def hook(core) -> None:
-        if len(core.switch_events) >= warmup:
-            core.switch_hook = None
-            entry.boundary = system.capture()
-            stats.boundary_captures += 1
-            chaos_fire("worker.boundary")
-
-    system.core.switch_hook = hook
-
-
 def run_workload(core: str, config: RTOSUnitConfig, workload: Workload,
                  layout: MemoryLayout | None = None,
                  guard=None, seed: int = 0) -> RunResult:
@@ -172,55 +132,22 @@ def run_workload(core: str, config: RTOSUnitConfig, workload: Workload,
     simulation itself is deterministic, so the DSE cache and the service
     share one result among all seeds of a content.
 
-    Repeat runs are **warm-started** through :mod:`repro.snapshot`: the
-    first run of a content key simulates cold and checkpoints itself at
-    the measurement boundary and at completion; identical later runs
-    replay the final snapshot (or resume the boundary one) and produce
-    byte-identical results. A ``guard`` forces the exact cold path, and
-    ``REPRO_SNAPSHOT=0`` disables warm-starting globally.
+    Every call simulates from a freshly built system. Repeats of a
+    content are answered above this function, by the DSE
+    :class:`repro.dse.cache.ResultCache` and the service coalescer.
     """
-    from repro.snapshot import snapshot_enabled, snapshot_key, store
-
     builder = KernelBuilder(config=config, objects=workload.objects,
                             layout=layout or MemoryLayout(),
                             tick_period=workload.tick_period)
-    snapshots = store()
-    if guard is not None or not snapshot_enabled():
-        if guard is not None:
-            snapshots.stats.bypasses += 1
-        system = builder.build(core, external_events=workload.external_events)
-        if guard is not None:
-            system.core.guard = guard
-        exit_code = system.run(max_cycles=workload.max_cycles)
-        _check_exit(exit_code, core, config, workload, system)
-        return _result_from(system, core, config, workload, seed)
-
-    key = snapshot_key(core, config, builder.layout, workload,
-                       builder.source())
-    entry = snapshots.entry(key)
-    # Read each tier exactly once: in verified-store mode every property
-    # read re-checks the digest, and a corrupt slot self-evicts to None.
-    final = entry.final
-    if final is not None:
-        # Fastest tier: replay the finished run outright.
-        snapshots.stats.final_hits += 1
-        return _result_from(final.materialize(), core, config,
-                            workload, seed)
-    boundary = entry.boundary
-    if boundary is not None:
-        # Resume at the measurement boundary: boot + warmup are skipped.
-        snapshots.stats.boundary_hits += 1
-        system = boundary.materialize()
-    else:
-        snapshots.stats.misses += 1
-        system = builder.build(core, external_events=workload.external_events)
-        _arm_boundary_capture(system, entry,
-                              workload.warmup_switches, snapshots.stats)
+    system = builder.build(core, external_events=workload.external_events)
+    if guard is not None:
+        system.core.guard = guard
     exit_code = system.run(max_cycles=workload.max_cycles)
-    system.core.switch_hook = None  # runs too short to hit the boundary
-    _check_exit(exit_code, core, config, workload, system)
-    entry.final = system.capture()
-    snapshots.stats.final_captures += 1
+    if exit_code not in (0, 42):
+        raise SimulationError(
+            f"workload {workload.name} on {core}/{config.name} exited "
+            f"with {exit_code:#x}",
+            pc=system.core.pc, cycle=system.core.cycle)
     return _result_from(system, core, config, workload, seed)
 
 

@@ -150,9 +150,8 @@ class KernelBuilder:
         """Render the complete assembly source (memoized).
 
         The rendered text doubles as the content-address of the build:
-        the warm-start snapshot key and the program cache both hash it,
-        so it must (and does) capture every input that can change the
-        image.
+        the program cache hashes it, so it must (and does) capture every
+        input that can change the image.
         """
         if self._source is None:
             self._source = self._render_source()

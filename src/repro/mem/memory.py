@@ -19,14 +19,6 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.errors import MemoryError_
-from repro.mem.substrate import byte_view, get_numpy
-
-#: Bulk raw stores below this word count stay on ``struct.pack_into`` —
-#: NumPy's per-call overhead only amortises on larger transfers.
-_NP_BULK_WORDS = 32
-
-#: Blob blits below one page stay on the ``bytearray`` slice memcpy.
-_NP_BLIT_BYTES = 4096
 
 MASK32 = 0xFFFFFFFF
 
@@ -103,12 +95,7 @@ class Memory:
             raise MemoryError_(
                 f"image of {len(blob):#x} bytes exceeds RAM of "
                 f"{self.size:#x} bytes")
-        view = byte_view(self.data)
-        if view is not None and len(blob) >= _NP_BLIT_BYTES:
-            np = get_numpy()
-            view[:len(blob)] = np.frombuffer(blob, dtype=np.uint8)
-        else:
-            self.data[:len(blob)] = blob
+        self.data[:len(blob)] = blob
 
     # -- snapshot/restore (repro.snapshot) -----------------------------------
 
@@ -146,10 +133,8 @@ class Memory:
         """The one raw word-store primitive (bounds already checked).
 
         Every raw mutation — :meth:`write_word_raw`, :meth:`flip_bit`,
-        the RTOSUnit FSM stores — funnels through here, so the NumPy
-        and bytearray backends cannot drift on how a word lands in RAM:
-        the store always goes through the shared ``bytearray`` buffer
-        (which the NumPy views alias), and always fires ``code_watch``.
+        the RTOSUnit FSM stores — funnels through here, so every word
+        lands in RAM the same way and always fires ``code_watch``.
         """
         self.data[addr:addr + 4] = (value & MASK32).to_bytes(4, "little")
         if self.code_watch is not None:
@@ -177,28 +162,13 @@ class Memory:
         nbytes = 4 * count
         if addr < 0 or addr + nbytes > self.size or addr & 3:
             self._check(addr, nbytes)
-        stored = False
-        if count >= _NP_BULK_WORDS:
-            np = get_numpy()
-            if np is not None:
-                try:
-                    words = np.asarray(values, dtype=np.int64)
-                except (OverflowError, ValueError):
-                    words = None
-                if words is not None:
-                    np.bitwise_and(words, MASK32, out=words)
-                    view = byte_view(self.data)
-                    view[addr:addr + nbytes] = (
-                        words.astype("<u4").view(np.uint8))
-                    stored = True
-        if not stored:
-            try:
-                # Values are almost always already-masked register words;
-                # skip the per-word masking pass unless one overflows.
-                struct.pack_into(f"<{count}I", self.data, addr, *values)
-            except struct.error:
-                struct.pack_into(f"<{count}I", self.data, addr,
-                                 *(v & MASK32 for v in values))
+        try:
+            # Values are almost always already-masked register words;
+            # skip the per-word masking pass unless one overflows.
+            struct.pack_into(f"<{count}I", self.data, addr, *values)
+        except struct.error:
+            struct.pack_into(f"<{count}I", self.data, addr,
+                             *(v & MASK32 for v in values))
         watch_range = self.code_watch_range
         if watch_range is not None:
             watch_range(addr, nbytes)

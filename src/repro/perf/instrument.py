@@ -131,10 +131,10 @@ def profile_workload(core: str, config: RTOSUnitConfig, workload: Workload,
     superblock census and the top slow PCs classified by opcode — the
     starting data for a slow-path hunt (docs/PERF.md).
 
-    Profiling deliberately never warm-starts: it builds its own system
-    below :func:`repro.harness.run_workload`, so the timed region is
-    always the real cold simulation — a profile that replayed a
-    snapshot (:mod:`repro.snapshot`) would measure nothing.
+    Profiling builds its own system below
+    :func:`repro.harness.run_workload`, so it can attach the cycle
+    attributor and block statistics before the run; the timed region is
+    the cold simulation alone.
     """
     builder = KernelBuilder(config=config, objects=workload.objects,
                             tick_period=workload.tick_period)

@@ -19,7 +19,7 @@ structure. Three personalities ship:
 
 A configuration selects its personality with an ``@`` suffix
 (``SL@scm``); :func:`kernel_fingerprint` folds the selected
-personality's identity into snapshot and DSE cache keys.
+personality's identity into the DSE cache keys.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ def kernel_fingerprint(config) -> str:
 
     Currently the personality's :meth:`~Personality.fingerprint`; any
     future dimension that changes generated kernel text without
-    changing the config name must be folded in here, so that the
-    snapshot and DSE cache keys (which both call this) re-address
-    automatically. Two personalities can never collide: the digest
-    covers the personality name itself.
+    changing the config name must be folded in here, so that the DSE
+    cache keys (which call this) re-address automatically. Two
+    personalities can never collide: the digest covers the personality
+    name itself.
     """
     return personality_by_name(config.personality).fingerprint()
 

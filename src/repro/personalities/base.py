@@ -84,7 +84,7 @@ class Personality:
         """Stable digest of this personality's identity and templates.
 
         Feeds :func:`repro.personalities.kernel_fingerprint`, which the
-        snapshot and DSE cache keys incorporate — two personalities can
+        DSE cache keys incorporate — two personalities can
         never collide on a cache key because their names differ, and a
         template edit re-addresses exactly the kernels it could change.
         """

@@ -5,8 +5,8 @@ byte: per-priority doubly-linked ready lists with round-robin rotation,
 preemptive wakes through the machine software interrupt, and the
 configuration-dependent ISR variants of Fig. 4. The rendered source for
 any ``freertos`` configuration is byte-identical to the
-pre-personality kernel, which keeps every snapshot key, DSE cache entry
-and exported latency byte-stable across the refactor.
+pre-personality kernel, which keeps every DSE cache entry and exported
+latency byte-stable across the refactor.
 """
 
 from __future__ import annotations

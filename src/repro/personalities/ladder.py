@@ -18,9 +18,9 @@ deterministic *unsupported* rows carrying the configuration error, not
 dropped — the table shape never depends on what happened to work.
 
 The grid is executed through :func:`repro.harness.sweep`, so ``--jobs``
-parallelism, the DSE result cache and warm-start snapshots all apply,
-and the emitted JSON/markdown are byte-identical across runs and job
-counts. ``BENCH_ladder.json`` wraps the payload in the shared
+parallelism and the DSE result cache both apply, and the emitted
+JSON/markdown are byte-identical across runs and job counts.
+``BENCH_ladder.json`` wraps the payload in the shared
 ``repro-bench/v1`` envelope.
 """
 
@@ -175,8 +175,8 @@ def ladder_report(spec: LadderSpec | None = None, jobs: int = 1,
     """Run the ladder grid and return the (unenveloped) report payload.
 
     One :func:`repro.harness.sweep` call covers every supported cell ×
-    probe workload, so jobs-parity, result caching and warm starts hold
-    exactly as for ``repro dse`` — the report is byte-identical across
+    probe workload, so jobs-parity and result caching hold exactly as
+    for ``repro dse`` — the report is byte-identical across
     runs and across ``--jobs`` values.
     """
     from repro.harness.experiment import sweep

@@ -17,13 +17,11 @@ stall-watchdog kills) escape as exceptions and consume the retry
 budget.
 
 Because the workers outlive their batches, each keeps its process-local
-warm state — the assembler memo, the kernel build cache and the snapshot
-store (:mod:`repro.snapshot`) — from one batch to the next: a point
-whose (core, config, workload, iterations) it has already simulated
-skips render and assembly and replays its final snapshot instead of
-re-simulating. ``REPRO_SNAPSHOT=0`` in the service environment restores
-the always-cold simulation; cross-process snapshot sharing is an open
-item in ROADMAP.md.
+warm state — the assembler memo and the kernel build cache — from one
+batch to the next: a point whose kernel a worker has already built
+skips render and assembly. Every point still simulates cold; repeats
+of a content are answered before they reach a worker, by the result
+cache and the coalescer.
 """
 
 from __future__ import annotations

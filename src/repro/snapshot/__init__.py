@@ -1,6 +1,7 @@
-"""Warm-start engine: build cache + system snapshot/restore (docs/SNAPSHOT.md).
+"""System checkpoints: capture and restore (docs/SNAPSHOT.md).
 
-Three layers, composed by :func:`repro.harness.run_workload`:
+Two layers, composed by :meth:`repro.cores.system.System.capture` and
+:meth:`repro.cores.system.System.restore`:
 
 * :mod:`repro.snapshot.pages` — copy-on-write memory images. A capture
   splits RAM into immutable pages and re-uses the page objects of the
@@ -12,41 +13,20 @@ Three layers, composed by :func:`repro.harness.run_workload`:
   architectural state, register banks, RTOSUnit/scheduler state,
   pending transfers and interrupt sources, plus the memory image.
   ``materialize()`` rebuilds a byte-identical live system.
-* :mod:`repro.snapshot.cache` — the process-local snapshot store keyed
-  on (core, config, kernel source, layout, runtime parameters), holding
-  a *boundary* snapshot (taken automatically at the first measured
-  switch, post-boot/post-warmup) and a *final* snapshot (run completed)
-  per key, plus the ``REPRO_SNAPSHOT`` gate.
 
-The kernel *build* cache (assembled words memoized per source) lives
-with the builder in :mod:`repro.kernel.builder`.
+No production run reads a checkpoint: :func:`repro.harness.run_workload`
+always simulates cold. The kernel *build* cache (assembled words
+memoized per source) lives with the builder in
+:mod:`repro.kernel.builder`.
 """
 
-from repro.snapshot.cache import (
-    SnapshotEntry,
-    SnapshotStats,
-    SnapshotStore,
-    final_system,
-    reset_store,
-    snapshot_enabled,
-    snapshot_key,
-    store,
-)
 from repro.snapshot.pages import PAGE_SIZE, MemoryImage, capture_image, restore_image
 from repro.snapshot.state import SystemSnapshot
 
 __all__ = [
     "MemoryImage",
     "PAGE_SIZE",
-    "SnapshotEntry",
-    "SnapshotStats",
-    "SnapshotStore",
     "SystemSnapshot",
     "capture_image",
-    "final_system",
-    "reset_store",
     "restore_image",
-    "snapshot_enabled",
-    "snapshot_key",
-    "store",
 ]

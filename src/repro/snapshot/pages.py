@@ -13,23 +13,11 @@ A restore is the mirror image: only pages whose content differs are
 blitted back, and the differing ranges are returned so the caller can
 invalidate decode/block caches in lockstep (the restore-side half of
 the ``invalidate_code`` contract in :mod:`repro.cores.base`).
-
-With the NumPy substrate on (:mod:`repro.mem.substrate`), the dirty
-scans run vectorised: the live RAM and the image keep ``uint64`` mirror
-views, one array compare marks dirty pages, and only those pages are
-touched bytewise. The scalar loop below stays as the ``REPRO_NUMPY=0``
-fallback and the two paths are held byte-identical by the differential
-suite in ``tests/snapshot``.
 """
 
 from __future__ import annotations
 
-from repro.mem.substrate import get_numpy
-
 PAGE_SIZE = 4096
-
-#: Page width in ``uint64`` lanes — the vectorised compare granule.
-_PAGE_U64 = PAGE_SIZE // 8
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
@@ -37,16 +25,11 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 class MemoryImage:
     """An immutable snapshot of one RAM, as shared pages."""
 
-    __slots__ = ("pages", "size", "_flat")
+    __slots__ = ("pages", "size")
 
     def __init__(self, pages: tuple[bytes, ...], size: int):
         self.pages = pages
         self.size = size
-        #: Lazily built flat ``uint64`` mirror of the page contents for
-        #: the vectorised dirty scans. Safe to cache: images are
-        #: immutable. Never pickled (see ``__getstate__``) and never
-        #: part of equality/hashing.
-        self._flat = None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MemoryImage)
@@ -54,21 +37,6 @@ class MemoryImage:
 
     def __hash__(self):
         return hash((self.size, self.pages))
-
-    def __getstate__(self):
-        return (self.pages, self.size)
-
-    def __setstate__(self, state):
-        self.pages, self.size = state
-        self._flat = None
-
-    def _flat_u64(self, np):
-        """Flat ``uint64`` mirror of the page contents (cached)."""
-        flat = self._flat
-        if flat is None:
-            flat = np.frombuffer(b"".join(self.pages), dtype="<u8")
-            self._flat = flat
-        return flat
 
     def shared_pages(self, other: "MemoryImage") -> int:
         """Pages shared *by identity* with ``other`` (CoW accounting)."""
@@ -82,13 +50,6 @@ class MemoryImage:
 def capture_image(data: bytearray, base: MemoryImage | None = None) -> MemoryImage:
     """Snapshot *data*, sharing unchanged pages with *base* by identity."""
     size = len(data)
-    np = get_numpy()
-    if np is not None and size and size % PAGE_SIZE == 0:
-        return _capture_np(np, data, base, size)
-    return _capture_loop(data, base, size)
-
-
-def _capture_loop(data, base, size):
     view = memoryview(data)
     base_pages = (base.pages if base is not None and base.size == size
                   else None)
@@ -109,38 +70,6 @@ def _capture_loop(data, base, size):
     return MemoryImage(tuple(pages), size)
 
 
-def _capture_np(np, data, base, size):
-    live = np.frombuffer(data, dtype="<u8")
-    npages = size // PAGE_SIZE
-    per_page = live.reshape(npages, _PAGE_U64)
-    view = memoryview(data)
-    if base is not None and base.size == size:
-        # One vectorised compare against the base image's mirror marks
-        # the dirty pages; clean pages are re-shared by identity
-        # without being touched.
-        diff = (live != base._flat_u64(np)).reshape(npages, _PAGE_U64)
-        dirty = np.flatnonzero(diff.any(axis=1))
-        pages = list(base.pages)
-        for index in dirty.tolist():
-            start = index * PAGE_SIZE
-            if not per_page[index].any():
-                pages[index] = _ZERO_PAGE
-            else:
-                pages[index] = bytes(view[start:start + PAGE_SIZE])
-    else:
-        # Cold capture: the only per-page scan needed is the zero test.
-        nonzero = per_page.any(axis=1)
-        pages = [_ZERO_PAGE] * npages
-        for index in np.flatnonzero(nonzero).tolist():
-            start = index * PAGE_SIZE
-            pages[index] = bytes(view[start:start + PAGE_SIZE])
-    image = MemoryImage(tuple(pages), size)
-    # The live RAM *is* the new image's content — copy it once now so
-    # the next capture/restore against this image skips the page join.
-    image._flat = live.copy()
-    return image
-
-
 def restore_image(data: bytearray, image: MemoryImage) -> list[tuple[int, int]]:
     """Blit *image* into *data* in place; returns dirty ``(start, nbytes)``.
 
@@ -153,18 +82,6 @@ def restore_image(data: bytearray, image: MemoryImage) -> list[tuple[int, int]]:
         raise ValueError(
             f"image of {image.size:#x} bytes does not fit RAM of "
             f"{len(data):#x} bytes")
-    size = image.size
-    np = get_numpy()
-    if np is not None and size and size % PAGE_SIZE == 0:
-        live = np.frombuffer(data, dtype="<u8")
-        diff = (live != image._flat_u64(np)).reshape(-1, _PAGE_U64)
-        view = memoryview(data)
-        dirty = []
-        for index in np.flatnonzero(diff.any(axis=1)).tolist():
-            start = index * PAGE_SIZE
-            view[start:start + PAGE_SIZE] = image.pages[index]
-            dirty.append((start, PAGE_SIZE))
-        return dirty
     view = memoryview(data)
     dirty = []
     for index, page in enumerate(image.pages):

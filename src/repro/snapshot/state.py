@@ -14,8 +14,12 @@ into its executors, so a restore must mutate those objects rather than
 replace them — ``restore_state`` implementations use slice assignment
 and ``dict.clear()/update()`` throughout. ``materialize()`` builds a
 fresh :class:`System` from the recorded constructor arguments and
-restores into it, which is how warm runs get an isolated system that is
-byte-identical to the captured one.
+restores into it, giving an isolated system that is byte-identical to
+the captured one.
+
+No production run reads a checkpoint; the capture/restore round trip
+is held byte-identical by ``tests/snapshot`` (docs/SNAPSHOT.md says why
+the code stays).
 """
 
 from __future__ import annotations

@@ -6,19 +6,14 @@ import pytest
 
 from repro.chaos import hooks
 from repro.kernel.builder import reset_program_cache
-from repro.snapshot import reset_store
 
 
 @pytest.fixture(autouse=True)
 def clean_chaos_state(monkeypatch):
-    """Every test starts and ends with no policy and cold warm-state."""
+    """Every test starts and ends with no policy and a cold build cache."""
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
-    monkeypatch.delenv("REPRO_SNAPSHOT_VERIFY", raising=False)
     hooks.uninstall()
-    reset_store()
     reset_program_cache()
     yield
     hooks.uninstall()
-    reset_store()
     reset_program_cache()

@@ -36,6 +36,19 @@ class TestCampaignRuns:
         assert campaign.silent_corruptions == 0
         assert campaign.counts()["failed"] == 0
 
+    def test_build_corrupt_episode_heals_through_the_build_cache(
+            self, tmp_path):
+        # Its second submit builds the same kernel, so the build cache
+        # hit meets the injected bit flip; the digest check evicts the
+        # image and the kernel is assembled again.
+        campaign = run_campaign(
+            CampaignSpec(seed=42, episodes=("build-read-corrupt",)),
+            workdir=str(tmp_path))
+        (result,) = campaign.results
+        assert result.outcome == "detected"
+        assert "build_corrupt_evictions=1" in result.detail
+        assert campaign.silent_corruptions == 0
+
     def test_table_is_byte_identical_across_runs(self, tmp_path):
         first = run_campaign(_quick_spec(), workdir=str(tmp_path / "a"))
         second = run_campaign(_quick_spec(), workdir=str(tmp_path / "b"))

@@ -64,7 +64,7 @@ class TestFireSemantics:
 class TestEnvAdoption:
     def test_ensure_from_env_adopts_policy(self, monkeypatch):
         policy = ChaosPolicy(specs=(
-            ChaosSpec("truncate_blob", "snapshot.read", at=2),), seed=9)
+            ChaosSpec("truncate_blob", "build.read", at=2),), seed=9)
         monkeypatch.setenv(ENV_VAR, policy.to_json())
         assert active() is None
         ensure_from_env()

@@ -1,7 +1,11 @@
 """ChaosSpec validation, policy determinism, serialization."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.chaos import (
     CHAOS_SITES,
     ChaosPolicy,
@@ -96,6 +100,31 @@ class TestPolicyScheduling:
     def test_malformed_json_is_structured(self):
         with pytest.raises(ChaosInjectionError, match="malformed"):
             ChaosPolicy.from_json("{nope")
+
+
+def _fired_sites() -> set:
+    """Every site named by a literal ``fire("...")`` call in the package,
+    outside the chaos package that defines the hooks."""
+    root = pathlib.Path(repro.__file__).parent
+    call = re.compile(r"""fire\(\s*["']([^"']+)["']""")
+    sites = set()
+    for path in root.rglob("*.py"):
+        if path.parent.name != "chaos":
+            sites.update(call.findall(path.read_text(encoding="utf-8")))
+    return sites
+
+
+class TestSites:
+    @pytest.mark.parametrize("site", CHAOS_SITES)
+    def test_every_site_is_fired_by_production_code(self, site):
+        # A declared site with no hook would accept policies that can
+        # never inject anything.
+        assert site in _fired_sites()
+
+    def test_every_fired_site_is_declared(self):
+        # A hook on an undeclared site could never be targeted: ChaosSpec
+        # rejects the name.
+        assert _fired_sites() <= set(CHAOS_SITES)
 
 
 class TestGeneration:

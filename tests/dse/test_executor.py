@@ -72,6 +72,14 @@ def _pid(_value):
     return os.getpid()
 
 
+#: Module state a worker reads; a test rebinds it after import.
+_PARENT_STATE = "import-time"
+
+
+def _parent_state(_value):
+    return _PARENT_STATE
+
+
 def _boom_or_stall(arg):
     """Item 0 raises; any other item wedges while its marker exists."""
     value, marker_dir = arg
@@ -314,6 +322,23 @@ class TestSupervision:
             # The wedged task did not run on into the next call.
             assert _all_gone(first)
             assert not _pool_workers(pool, before) & first
+
+    def test_workers_fork_whatever_the_default_start_method(self,
+                                                            monkeypatch):
+        """A worker sees module state the parent set after import, even
+        when the process default is spawn (macOS, or forkserver on
+        Linux from Python 3.14), which would re-import the module."""
+        monkeypatch.setattr(sys.modules[__name__], "_PARENT_STATE",
+                            "set by the parent")
+        saved = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            with WorkerPool(1) as pool:
+                seen = pool.submit(_parent_state, None).result(
+                    timeout=DEADLINE_S)
+        finally:
+            multiprocessing.set_start_method(saved, force=True)
+        assert seen == "set by the parent"
 
     def test_closed_pool_joins_workers_and_never_forks(self):
         before = _children()

@@ -1,11 +1,21 @@
 """Experiment drivers: run results, suites, sweeps."""
 
+import dataclasses
+
 import pytest
 
+from repro.cores.system import System
 from repro.errors import SimulationError
 from repro.harness import run_suite, run_workload, sweep
 from repro.rtosunit.config import parse_config
-from repro.workloads import yield_pingpong
+from repro.workloads import delay_periodic, yield_pingpong
+
+
+def _result_key(result):
+    return (result.latencies,
+            [(s.trigger_cycle, s.entry_cycle, s.mret_cycle)
+             for s in result.switches],
+            result.cycles, result.instret, dict(vars(result.core_stats)))
 
 
 class TestRunWorkload:
@@ -34,6 +44,73 @@ class TestRunWorkload:
         result_full = run_workload("cv32e40p", parse_config("vanilla"), full)
         assert result_full.stats.count == \
             result.stats.count + workload.warmup_switches
+
+    def test_guard_leaves_result_unchanged(self):
+        class NullGuard:
+            def on_step(self, core):
+                pass
+
+            def check(self, core):
+                pass
+
+        config = parse_config("vanilla")
+        plain = run_workload("cv32e40p", config, yield_pingpong(3))
+        guarded = run_workload("cv32e40p", config, yield_pingpong(3),
+                               guard=NullGuard())
+        assert _result_key(guarded) == _result_key(plain)
+
+    def test_seed_recorded_not_simulated(self):
+        config = parse_config("vanilla")
+        a = run_workload("cv32e40p", config, yield_pingpong(3), seed=1)
+        b = run_workload("cv32e40p", config, yield_pingpong(3), seed=2)
+        assert a.seed == 1 and b.seed == 2
+        assert a.latencies == b.latencies
+
+    def test_every_call_simulates_a_fresh_system(self, monkeypatch):
+        simulated = []
+        real_run = System.run
+
+        def recording(system, *args, **kwargs):
+            simulated.append(system)
+            return real_run(system, *args, **kwargs)
+
+        monkeypatch.setattr(System, "run", recording)
+        config = parse_config("vanilla")
+        first = run_workload("cv32e40p", config, yield_pingpong(3))
+        second = run_workload("cv32e40p", config, yield_pingpong(3))
+        assert len(simulated) == 2
+        assert simulated[0] is not simulated[1]
+        assert _result_key(first) == _result_key(second)
+
+    def test_never_captures_or_restores(self, monkeypatch):
+        def refuse(system, *args):
+            raise AssertionError("run_workload touched a checkpoint")
+
+        monkeypatch.setattr(System, "capture", refuse)
+        monkeypatch.setattr(System, "restore", refuse)
+        result = run_workload("cv32e40p", parse_config("SLT"),
+                              yield_pingpong(3))
+        assert result.latencies
+
+    def test_bad_exit_code_raises(self, monkeypatch):
+        monkeypatch.setattr(System, "run",
+                            lambda system, max_cycles=0: 0xBAD)
+        with pytest.raises(SimulationError,
+                           match="yield_pingpong on cv32e40p/vanilla "
+                                 "exited with 0xbad"):
+            run_workload("cv32e40p", parse_config("vanilla"),
+                         yield_pingpong(3))
+
+    def test_workload_params_reach_the_build(self):
+        # delay_periodic sleeps in ticks, so its run time follows the
+        # tick period the kernel is built with.
+        workload = delay_periodic(3)
+        shifted = dataclasses.replace(
+            workload, tick_period=workload.tick_period + 1000)
+        config = parse_config("vanilla")
+        base = run_workload("cv32e40p", config, workload)
+        moved = run_workload("cv32e40p", config, shifted)
+        assert moved.cycles > base.cycles
 
 
 class TestRunSuite:

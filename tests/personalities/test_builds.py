@@ -1,24 +1,20 @@
-"""Per-personality kernel builds: determinism, execution, warm parity."""
+"""Per-personality kernel builds: determinism, execution, build reuse."""
 
 import pytest
 
+import repro.kernel.builder as builder_module
 from repro.harness.experiment import run_workload
 from repro.kernel.builder import KernelBuilder, reset_program_cache
-from repro.personalities import personality_names
 from repro.rtosunit.config import parse_config
-from repro.snapshot import reset_store, store
 from repro.workloads import ladder_irq, ladder_jitter, ladder_switch
 
 ALL_QUALIFIED = ("vanilla", "vanilla@scm", "vanilla@echronos")
 
 
 @pytest.fixture(autouse=True)
-def fresh_state(monkeypatch):
-    monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
-    reset_store()
+def fresh_state():
     reset_program_cache()
     yield
-    reset_store()
     reset_program_cache()
 
 
@@ -87,20 +83,40 @@ class TestExecution:
         assert echronos.stats.mean > freertos.stats.mean
 
 
-class TestWarmStart:
+class TestBuildCache:
     @pytest.mark.parametrize("config_name", ALL_QUALIFIED)
-    def test_warm_equals_cold(self, config_name):
-        config = parse_config(config_name)
-        cold = run_workload("cv32e40p", config, ladder_switch(4))
-        warm = run_workload("cv32e40p", config, ladder_switch(4))
-        assert store().stats.final_hits == 1
-        assert _result_key(cold) == _result_key(warm)
+    def test_repeat_run_reuses_the_build(self, config_name, monkeypatch):
+        # The second run of a kernel loads the cached image instead of
+        # assembling again, and simulates to the same result.
+        assembled = []
+        real_assemble = builder_module.assemble
 
-    def test_personalities_do_not_share_warm_state(self):
+        def counting(source, **kwargs):
+            assembled.append(source)
+            return real_assemble(source, **kwargs)
+
+        monkeypatch.setattr(builder_module, "assemble", counting)
+        config = parse_config(config_name)
+        first = run_workload("cv32e40p", config, ladder_switch(4))
+        second = run_workload("cv32e40p", config, ladder_switch(4))
+        assert len(assembled) == 1
+        assert _result_key(first) == _result_key(second)
+
+    def test_personalities_do_not_share_builds(self):
+        # Same config letters, same workload: each personality gets its
+        # own cache entry, and its result does not depend on the builds
+        # already cached for the others.
+        alone = {}
         for config_name in ALL_QUALIFIED:
-            run_workload("cv32e40p", parse_config(config_name),
-                         ladder_switch(4))
-        # Three distinct kernels -> three snapshot entries, zero hits.
-        assert len(store()) == 3
-        assert store().stats.final_hits == 0
-        assert store().stats.misses == 3
+            reset_program_cache()
+            alone[config_name] = _result_key(run_workload(
+                "cv32e40p", parse_config(config_name), ladder_switch(4)))
+        reset_program_cache()
+        together = {
+            config_name: _result_key(run_workload(
+                "cv32e40p", parse_config(config_name), ladder_switch(4)))
+            for config_name in ALL_QUALIFIED}
+        assert len(builder_module._PROGRAM_CACHE) == len(ALL_QUALIFIED)
+        assert together == alone
+        assert alone["vanilla"] != alone["vanilla@scm"]
+        assert alone["vanilla"] != alone["vanilla@echronos"]

@@ -1,19 +1,14 @@
-"""Isolation for warm-start tests: fresh store, snapshotting enabled."""
+"""Isolation for checkpoint tests: a fresh program cache per test."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.kernel.builder import reset_program_cache
-from repro.snapshot import reset_store
 
 
 @pytest.fixture(autouse=True)
-def fresh_snapshot_state(monkeypatch):
-    """Each test starts with an empty store and REPRO_SNAPSHOT unset."""
-    monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
-    reset_store()
+def fresh_program_cache():
     reset_program_cache()
     yield
-    reset_store()
     reset_program_cache()

