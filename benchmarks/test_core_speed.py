@@ -30,7 +30,6 @@ import json
 import pathlib
 import time
 
-from repro.cores.blocks import BlockEngine
 from repro.kernel.builder import KernelBuilder
 from repro.perf import bench_record
 from repro.rtosunit.config import parse_config
@@ -107,9 +106,7 @@ def _suite_pass_inner(core: str, config_name: str, blocks: bool,
         system = builder.build(core,
                                external_events=workload.external_events)
         cpu = system.core
-        if blocks and cpu.block_engine is None:
-            cpu.block_engine = BlockEngine(cpu)
-        elif not blocks:
+        if not blocks:
             cpu.block_engine = None
         start = time.perf_counter()
         system.run(workload.max_cycles)

@@ -120,27 +120,11 @@ def _cmd_fig11(args) -> int:
     return 0
 
 
-def _fig12_point(task):
-    """Pool worker: one (core, list length) area datapoint."""
-    from repro.asic import AreaModel
-
-    core, length = task
-    model = AreaModel()
-    if length == 0:
-        return (0, model.baselines[core].area_kge)
-    config = parse_config("T", list_length=length)
-    return (length, model.report(core, config).total_kge)
-
-
 def _cmd_fig12(args) -> int:
     from repro.asic import AreaModel
-    from repro.asic.area import FIG12_LENGTHS
-    from repro.dse import parallel_map
 
     model = AreaModel()
-    points = parallel_map(_fig12_point,
-                          [(args.core, length) for length in FIG12_LENGTHS],
-                          jobs=args.jobs)
+    points = model.list_scaling(args.core)
     print(format_fig12(points, model.baselines[args.core].area_kge))
     return 0
 
@@ -162,23 +146,16 @@ def _cmd_fig13(args) -> int:
     return 0
 
 
-def _wcet_point(task):
-    """Pool worker: WCET analysis of one configuration."""
-    from repro.wcet import analyze_config
-
-    name, delayed_tasks = task
-    result = analyze_config(parse_config(name), delayed_tasks=delayed_tasks)
-    return (name, result.wcet_cycles, result.paths_explored)
-
-
 def _cmd_wcet(args) -> int:
-    from repro.dse import parallel_map
+    from repro.wcet import analyze_config
 
     configs = (args.config.split(",") if args.config
                else list(EVALUATED_CONFIGS))
-    rows = parallel_map(_wcet_point,
-                        [(name, args.delayed_tasks) for name in configs],
-                        jobs=args.jobs)
+    rows = []
+    for name in configs:
+        result = analyze_config(parse_config(name),
+                                delayed_tasks=args.delayed_tasks)
+        rows.append((name, result.wcet_cycles, result.paths_explored))
     print(format_table(("config", "WCET [cycles]", "paths"), rows))
     return 0
 
@@ -445,10 +422,10 @@ def _cmd_chaos(args) -> int:
 def _cmd_dse(args) -> int:
     from repro.analysis import format_frontier
     from repro.dse import (
+        CacheStats,
         DSEExecutor,
         ProgressMeter,
         ResultCache,
-        SweepManifest,
         annotate_pareto,
         build_grid,
         evaluate_grid,
@@ -465,29 +442,17 @@ def _cmd_dse(args) -> int:
                  else list(workload_names(suite_only=True)))
     points = build_grid(cores=cores, configs=configs, workloads=workloads,
                         iterations=args.iterations, seed=args.seed)
-    cache = manifest = None
-    if args.cache_dir:
-        cache = ResultCache(args.cache_dir)
-        if args.resume:
-            manifest = SweepManifest(cache.root / "manifest.json")
-            done = manifest.done_count(points)
-            if done:
-                print(f"resume: {done}/{len(points)} grid points already "
-                      f"complete")
-    elif args.resume:
-        print("error: --resume needs --cache-dir", file=sys.stderr)
-        return 2
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
     meter = ProgressMeter(len(points), enabled=not args.no_progress)
     runs = DSEExecutor(jobs=args.jobs, retries=args.retries,
-                       timeout=args.timeout, cache=cache, manifest=manifest,
+                       timeout=args.timeout, cache=cache,
                        progress=meter.update).run(points)
     meter.finish()
     suites = group_suites(points, runs)
     design_points = annotate_pareto(evaluate_grid(suites),
                                     objectives=objectives)
-    cache_stats = (cache.stats.as_dict() if cache is not None
-                   else {"hits": 0, "misses": 0, "stores": 0,
-                         "invalidated": 0, "hit_rate": 0.0})
+    cache_stats = (cache.stats if cache is not None
+                   else CacheStats()).as_dict()
     if args.json:
         from repro.harness.export import sweep_dict, write_json
 
@@ -720,7 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     p = sub.add_parser("fig12", help="Figure 12: list-length area scaling")
     p.add_argument("--core", default="cv32e40p")
-    p.add_argument("--jobs", type=int, default=1)
     p = sub.add_parser("fig13", help="Figure 13: power on mutex_workload")
     _add_grid_args(p)
     p.add_argument("--iterations", type=int, default=6)
@@ -729,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="comma-separated configs (default: all)")
     p.add_argument("--delayed-tasks", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser(
         "dse", help="design-space co-exploration + Pareto frontier")
@@ -743,8 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process-pool workers for the grid")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed result cache directory")
-    p.add_argument("--resume", action="store_true",
-                   help="checkpoint/resume via the cache manifest")
     p.add_argument("--objectives", default="latency,jitter",
                    help="comma-separated Pareto objectives "
                         "(latency, jitter, area, fmax, power)")

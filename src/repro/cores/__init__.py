@@ -10,7 +10,7 @@
   write-back D$ through the extended LSU (ctxQueue, §5.3).
 """
 
-from repro.cores.base import BaseCore, CoreParams, blocks_enabled_default
+from repro.cores.base import BaseCore, CoreParams
 from repro.cores.blocks import BlockEngine
 from repro.cores.clint import Clint
 from repro.cores.cv32e40p import CV32E40P
@@ -37,7 +37,6 @@ __all__ = [
     "CoreParams",
     "NaxRiscv",
     "System",
-    "blocks_enabled_default",
     "build_system",
 ]
 

@@ -15,7 +15,6 @@ configs) or ``mret`` (store+load) switches back.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
@@ -31,12 +30,6 @@ from repro.rtosunit.unit import RTOSUnit
 from repro.util import LRUCache
 
 MASK32 = 0xFFFFFFFF
-
-
-def blocks_enabled_default() -> bool:
-    """Block dispatch is on unless ``REPRO_BLOCKS`` disables it."""
-    value = os.environ.get("REPRO_BLOCKS", "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
 
 
 def _sgn(value: int) -> int:
@@ -173,13 +166,12 @@ class BaseCore:
         #: attach here to checkpoint a run mid-flight; it is passive and
         #: does not force the exact path. None = no cost.
         self.switch_hook = None
+        from repro.cores.blocks import BlockEngine
+
         #: Basic-block predecoded dispatch (repro.cores.blocks); None
         #: forces the per-instruction path. Architecturally invisible —
         #: the differential tests assert byte-identical runs either way.
-        self.block_engine = None
-        if blocks_enabled_default():
-            from repro.cores.blocks import BlockEngine
-            self.block_engine = BlockEngine(self)
+        self.block_engine = BlockEngine(self)
         if unit is not None:
             unit.attach(self)
 

@@ -54,13 +54,11 @@ completions) are chained with their dominant successors into
 ``K_LINK`` guard records that side-exit back to the exact block boundary
 whenever control leaves the recorded trace. Superblocks register every
 constituent word in the invalidation map, so SMC and fault injection
-drop them exactly like plain blocks; ``REPRO_SUPERBLOCKS=0`` disables
-the tier.
+drop them exactly like plain blocks.
 """
 
 from __future__ import annotations
 
-import os
 import types
 
 from repro.cores.base import BaseCore, MASK32, _divrem, _sgn
@@ -89,12 +87,6 @@ SUPERBLOCK_MAX_RECORDS = 512
 #: Bound on the slow-PC memo (same LRU recency policy as the decode cache).
 SLOW_PC_CAPACITY = 65536
 
-
-def superblocks_enabled_default() -> bool:
-    """Superblock trace linking defaults on; ``REPRO_SUPERBLOCKS=0``
-    disables it (tier-2 blocks still run)."""
-    value = os.environ.get("REPRO_SUPERBLOCKS", "").strip().lower()
-    return value not in ("0", "false", "off", "no")
 
 # -- per-mnemonic execute handlers (generic layer + fence) -------------------
 #
@@ -522,7 +514,6 @@ class BlockEngine:
         self.side_exits = 0
         #: pc -> slow-path dispatch count; None unless profiling enables it.
         self.slow_counts: dict[int, int] | None = None
-        self._superblocks_on = superblocks_enabled_default()
         unit = getattr(core, "unit", None)
         self._custom_handlers = (unit.fast_custom_handlers()
                                  if unit is not None else None)
@@ -778,7 +769,6 @@ class BlockEngine:
         slow_pcs = self.slow_pcs
         slow_cap = slow_pcs.capacity or _INF
         counts = self.slow_counts
-        sb_on = self._superblocks_on
         exec_block = self._exec_block
         limit = max_cycles + 1  # bail ceiling handed to the executors
         horizon = None
@@ -815,7 +805,7 @@ class BlockEngine:
                 if rc & 1:
                     horizon = None  # MMIO store / custom op: the CLINT or
                     #                 CSR state may have re-armed
-            elif sb_on:
+            else:
                 # Clean completion: count toward superblock promotion.
                 h = block.hot
                 if h >= 0:

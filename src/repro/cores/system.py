@@ -110,15 +110,12 @@ class System:
 
     # -- program loading ---------------------------------------------------------
 
-    def load(self, program: Program, boot_task_id: int | None = None) -> None:
+    def load(self, program: Program) -> None:
         """Load an assembled image and point the core at its entry."""
         self.memory.load_program(program.words)
         self.core.pc = program.entry
-        if self.unit is not None and boot_task_id is not None:
-            self.unit.boot(boot_task_id)
 
-    def load_image(self, program: Program, blob: bytes,
-                   boot_task_id: int | None = None) -> None:
+    def load_image(self, program: Program, blob: bytes) -> None:
         """Like :meth:`load`, from a pre-rendered flat image.
 
         The kernel build cache renders the word dict into a blob once;
@@ -127,8 +124,6 @@ class System:
         """
         self.memory.load_blob(blob)
         self.core.pc = program.entry
-        if self.unit is not None and boot_task_id is not None:
-            self.unit.boot(boot_task_id)
 
     # -- snapshot/restore (repro.snapshot) -----------------------------------
 

@@ -9,8 +9,8 @@ extensions for the best latency/area/power trade-off. Four parts:
   or a long-lived :class:`~repro.dse.executor.WorkerPool`,
 * :mod:`repro.dse.cache` — a content-addressed on-disk result cache
   (keyed by source fingerprint + grid point content, without the seed)
-  with hit/miss/invalidation accounting and a resume checkpoint
-  manifest,
+  with hit/miss/invalidation accounting; rerunning a sweep on the same
+  cache directory resumes it,
 * :mod:`repro.dse.frontier` — latency/jitter/area/fmax/power metric
   vectors per design point and Pareto-dominance analysis,
 * :mod:`repro.dse.telemetry` — the runs/s + cache-hit-rate + ETA
@@ -21,7 +21,6 @@ from repro.dse.cache import (
     CACHE_SCHEMA,
     CacheStats,
     ResultCache,
-    SweepManifest,
     point_key,
     source_fingerprint,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "PoolHealth",
     "ProgressMeter",
     "ResultCache",
-    "SweepManifest",
     "WorkerPool",
     "annotate_pareto",
     "build_grid",

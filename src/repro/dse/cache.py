@@ -1,4 +1,4 @@
-"""Content-addressed result cache and sweep checkpoints.
+"""Content-addressed result cache.
 
 Every cache entry is one JSON file addressed by a fingerprint of
 *everything that determines the run's outcome*:
@@ -19,10 +19,9 @@ misses but a stale file for the same content exists (old source
 version, or an older schema's per-seed file), it is removed and counted
 as an invalidation.
 
-:class:`SweepManifest` is the resume checkpoint: it records the grid and
-which points have completed, so ``python -m repro dse --resume`` can
-report and skip finished work even across interrupted runs (the cache
-holds the actual results; the manifest holds the accounting).
+The cache is also the resume mechanism: an interrupted sweep rerun on
+the same cache directory serves every content that finished from the
+cache and simulates only the rest.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from dataclasses import dataclass
 
 from repro.chaos.hooks import fire as _chaos_fire
 from repro.chaos.model import mangle_blob
-from repro.errors import ExplorationError
 
 _FINGERPRINT: str | None = None
 
@@ -231,64 +229,4 @@ class ResultCache:
         self.stats.stores += 1
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json")
-                   if not _.name.startswith("manifest"))
-
-
-class SweepManifest:
-    """Checkpoint of one sweep: the grid and which points are done.
-
-    ``begin()`` resets the manifest whenever the grid changes, so a
-    manifest never claims completion for points of a different sweep.
-    Ids name grid points, seed included: the manifest accounts the
-    grid, while the cache holds one entry per content.
-    """
-
-    def __init__(self, path):
-        self.path = pathlib.Path(path)
-        self.data = {"grid": [], "done": []}
-        if self.path.exists():
-            try:
-                self.data = json.loads(self.path.read_text())
-                if not isinstance(self.data.get("done"), list):
-                    raise ValueError("malformed manifest")
-            except (ValueError, OSError) as exc:
-                raise ExplorationError(
-                    f"corrupt sweep manifest {self.path}: {exc}; delete it "
-                    f"to start over") from exc
-        self._done = set(self.data["done"])
-
-    @staticmethod
-    def point_id(point) -> str:
-        return (f"{point.core}/{point.config}/{point.workload}"
-                f"@i{point.iterations}s{point.seed}")
-
-    def begin(self, points) -> None:
-        grid = [self.point_id(point) for point in points]
-        if self.data.get("grid") != grid:
-            self.data = {"grid": grid, "done": []}
-            self._done = set()
-            self._save()
-
-    def mark_done(self, *points) -> None:
-        """Record *points* as complete: one write for all of them (the
-        grid points one execution or cache hit served), none if every
-        one was already recorded."""
-        fresh = False
-        for point in points:
-            pid = self.point_id(point)
-            if pid not in self._done:
-                self._done.add(pid)
-                self.data["done"].append(pid)
-                fresh = True
-        if fresh:
-            self._save()
-
-    def done_count(self, points) -> int:
-        return sum(1 for point in points if self.point_id(point) in self._done)
-
-    def _save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self.data, indent=2) + "\n")
-        os.replace(tmp, self.path)
+        return sum(1 for _ in self.root.glob("*.json"))

@@ -19,8 +19,8 @@ result so one poisonous grid point cannot take down a whole batch.
 Entry points:
 
 * :func:`parallel_map` — a generic order-preserving map with per-task
-  retry and deadline, also used by the WCET, Fig. 12 and fault-campaign
-  CLI paths;
+  retry and deadline, also used by the fault campaign and the
+  simulation service's workers;
 * :class:`WorkerPool` — the supervised pool itself; a caller that keeps
   one across :func:`parallel_map` calls (the simulation service) keeps
   its workers, and their assembler memo and kernel build cache, between
@@ -431,20 +431,17 @@ class DSEExecutor:
     byte-identical to running every point on its own, at any ``jobs``.
 
     ``progress`` is an optional callable receiving
-    ``(point, result, from_cache)`` once per grid point; ``manifest`` an
-    optional :class:`repro.dse.cache.SweepManifest` checkpointed once
-    per completed content, covering all of its grid points, so an
-    interrupted sweep can resume.
+    ``(point, result, from_cache)`` once per grid point. Each content is
+    stored as soon as it completes, so an interrupted sweep rerun on the
+    same ``cache`` simulates only what did not finish.
     """
 
     def __init__(self, jobs: int = 1, retries: int = 1,
-                 timeout: float | None = None, cache=None, manifest=None,
-                 progress=None):
+                 timeout: float | None = None, cache=None, progress=None):
         self.jobs = jobs
         self.retries = retries
         self.timeout = timeout
         self.cache = cache
-        self.manifest = manifest
         self.progress = progress
         self.health = PoolHealth()
 
@@ -458,8 +455,6 @@ class DSEExecutor:
         from repro.harness.export import load_run, run_dict
 
         points = list(points)
-        if self.manifest is not None:
-            self.manifest.begin(points)
         groups: dict = {}
         for point in points:
             groups.setdefault(tuple(point.content.values()), []).append(point)
@@ -468,8 +463,6 @@ class DSEExecutor:
         def fan_out(group, run, from_cache: bool) -> None:
             for point in group:
                 results[point] = replace(run, seed=point.run_seed)
-            if self.manifest is not None:
-                self.manifest.mark_done(*group)
             if self.progress is not None:
                 for point in group:
                     self.progress(point, results[point], from_cache)

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cores import CORE_NAMES
-from repro.cores.system import build_system
 from repro.errors import (
     DecodeError,
     MemoryError_,
@@ -124,29 +123,16 @@ class CampaignSpec:
 # -- execution ---------------------------------------------------------------------
 
 
-def _build(core_name: str, config, workload):
-    """Builder + assembled program + fresh system for one combination."""
-    builder = KernelBuilder(config=config, objects=workload.objects,
-                            tick_period=workload.tick_period)
-    program = builder.program()
-    system = build_system(core_name, config, layout=builder.layout,
-                          tick_period=builder.tick_period,
-                          external_events=workload.external_events)
-    system.load(program)
-    return builder, program, system
-
-
-def _run_faulted(core_name: str, config, workload, program, builder,
+def _run_faulted(core_name: str, workload, builder: KernelBuilder,
                  faults: list[FaultSpec], budget: int, window: int,
                  check_interval: int):
     """One instrumented run; returns (signature|None, checker, error|None)."""
-    system = build_system(core_name, config, layout=builder.layout,
-                          tick_period=builder.tick_period,
-                          external_events=workload.external_events)
-    system.load(program)
-    injector = FaultInjector(system, faults, symbols=program.symbols)
+    system = builder.build(core_name,
+                           external_events=workload.external_events)
+    symbols = builder.program().symbols
+    injector = FaultInjector(system, faults, symbols=symbols)
     checker = InvariantChecker(system, n_tasks=len(builder.tasks),
-                               symbols=program.symbols)
+                               symbols=symbols)
     system.core.guard = ProgressGuard(window=window, cycle_budget=budget)
     steps = [0]
 
@@ -231,24 +217,19 @@ class _FaultTask:
     golden: Signature
 
 
-def run_fault_task(task: _FaultTask, prebuilt=None) -> FaultResult:
+def run_fault_task(task: _FaultTask) -> FaultResult:
     """Execute and classify one faulted run; the ``--jobs`` pool worker.
 
-    ``prebuilt`` optionally supplies ``(config, workload, builder,
-    program)`` so the serial path can reuse one assembly per combination;
-    workers rebuild them deterministically from the task instead.
+    Rebuilds the combination from the task; the kernel build cache
+    serves the assembled image after the first run of a combination.
     """
-    if prebuilt is not None:
-        config, workload, builder, program = prebuilt
-    else:
-        config = parse_config(task.config)
-        workload = workload_by_name(task.workload, iterations=task.iterations)
-        builder = KernelBuilder(config=config, objects=workload.objects,
-                                tick_period=workload.tick_period)
-        program = builder.program()
+    workload = workload_by_name(task.workload, iterations=task.iterations)
+    builder = KernelBuilder(config=parse_config(task.config),
+                            objects=workload.objects,
+                            tick_period=workload.tick_period)
     signature, checker, error = _run_faulted(
-        task.core, config, workload, program, builder, [task.fault],
-        task.budget, task.window, task.check_interval)
+        task.core, workload, builder, [task.fault], task.budget,
+        task.window, task.check_interval)
     outcome, detail = _classify(signature, checker, error, task.golden)
     return FaultResult(core=task.core, config=task.config,
                        workload=task.workload, fault=task.fault,
@@ -267,14 +248,17 @@ def run_campaign(spec: CampaignSpec, progress=None,
     """
     campaign = CampaignResult(seed=spec.seed)
     tasks: list[_FaultTask] = []
-    prebuilt = []
     for core_name in spec.cores:
         for config_name in spec.configs:
             config = parse_config(config_name)
             for workload_name in spec.workloads:
                 workload = workload_by_name(workload_name,
                                             iterations=spec.iterations)
-                builder, program, system = _build(core_name, config, workload)
+                builder = KernelBuilder(config=config,
+                                        objects=workload.objects,
+                                        tick_period=workload.tick_period)
+                system = builder.build(
+                    core_name, external_events=workload.external_events)
                 exit_code = system.run(max_cycles=workload.max_cycles)
                 golden = Signature(exit_code=exit_code,
                                    console=system.console_text,
@@ -294,10 +278,9 @@ def run_campaign(spec: CampaignSpec, progress=None,
                         workload=workload_name, iterations=spec.iterations,
                         fault=fault, budget=budget, window=spec.window,
                         check_interval=spec.check_interval, golden=golden))
-                    prebuilt.append((config, workload, builder, program))
     if jobs <= 1:
-        for task, built in zip(tasks, prebuilt):
-            campaign.results.append(run_fault_task(task, prebuilt=built))
+        for task in tasks:
+            campaign.results.append(run_fault_task(task))
             if progress is not None:
                 progress(campaign.results[-1])
     else:

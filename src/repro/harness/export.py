@@ -5,8 +5,8 @@ everything a plotting pipeline needs — per-run latency samples, summary
 statistics, activity counters, and the ASIC figures — as plain JSON.
 
 The run/suite/sweep dictionaries double as the *storage schema* of the
-DSE result cache and its checkpoint manifests: :func:`load_run`,
-:func:`load_suite` and :func:`load_sweep` are exact inverses, i.e.
+DSE result cache: :func:`load_run`, :func:`load_suite` and
+:func:`load_sweep` are exact inverses, i.e.
 ``run_dict(load_run(run_dict(r))) == run_dict(r)`` byte-for-byte after
 JSON encoding. Only ``core_stats`` (internal activity counters not part
 of the schema) is dropped on the way through.

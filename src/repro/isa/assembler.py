@@ -90,9 +90,6 @@ class Program:
         except KeyError:
             raise AssemblerError(f"undefined symbol {name!r}") from None
 
-    def word_at(self, addr: int) -> int:
-        return self.words.get(addr & ~3, 0)
-
     def merged_with(self, other: "Program") -> "Program":
         """Return a new program combining this image with *other*.
 

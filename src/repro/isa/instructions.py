@@ -60,22 +60,6 @@ class Instr:
     def is_branch(self) -> bool:
         return self.fmt == FMT_B
 
-    @property
-    def is_jump(self) -> bool:
-        return self.mnemonic in ("jal", "jalr")
-
-    @property
-    def is_custom(self) -> bool:
-        return self.fmt == FMT_CUSTOM
-
-    @property
-    def is_control_flow(self) -> bool:
-        return self.is_branch or self.is_jump or self.mnemonic == "mret"
-
-    @property
-    def is_mem(self) -> bool:
-        return self.is_load or self.is_store
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         from repro.isa.disassembler import format_instr
         return format_instr(self)

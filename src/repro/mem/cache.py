@@ -92,10 +92,6 @@ class WriteThroughCache(CacheModel):
 
     write_allocate: bool = False
 
-    def write_goes_to_bus(self) -> bool:
-        """Every store propagates to the bus (occupying a bus cycle)."""
-        return True
-
 
 @dataclass
 class WriteBackCache(CacheModel):

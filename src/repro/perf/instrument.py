@@ -122,14 +122,14 @@ def profile_workload(core: str, config: RTOSUnitConfig, workload: Workload,
                      iterations: int = 0) -> PerfReport:
     """Build, run and time one workload; return the performance report.
 
-    ``blocks`` toggles block dispatch explicitly (independent of the
-    ``REPRO_BLOCKS`` environment default). ``opcodes`` attaches the
-    cycle attributor — which forces the exact path. ``cprofile``
-    captures a host-level profile of the hottest simulator functions.
-    ``block_stats`` turns on the engine's per-PC slow-path counter and
-    fills :attr:`PerfReport.block_report` with cache hit rate, the
-    superblock census and the top slow PCs classified by opcode — the
-    starting data for a slow-path hunt (docs/PERF.md).
+    ``blocks=False`` detaches the block engine, timing the exact path.
+    ``opcodes`` attaches the cycle attributor — which forces the exact
+    path. ``cprofile`` captures a host-level profile of the hottest
+    simulator functions. ``block_stats`` turns on the engine's per-PC
+    slow-path counter and fills :attr:`PerfReport.block_report` with
+    cache hit rate, the superblock census and the top slow PCs
+    classified by opcode — the starting data for a slow-path hunt
+    (docs/PERF.md).
 
     Profiling builds its own system below
     :func:`repro.harness.run_workload`, so it can attach the cycle
@@ -140,11 +140,7 @@ def profile_workload(core: str, config: RTOSUnitConfig, workload: Workload,
                             tick_period=workload.tick_period)
     system = builder.build(core, external_events=workload.external_events)
     cpu = system.core
-    if blocks and cpu.block_engine is None:
-        from repro.cores.blocks import BlockEngine
-
-        cpu.block_engine = BlockEngine(cpu)
-    elif not blocks:
+    if not blocks:
         cpu.block_engine = None
     if block_stats and cpu.block_engine is not None:
         cpu.block_engine.slow_counts = {}

@@ -153,10 +153,6 @@ class HardwareScheduler:
     def _touch(self, cycle: int) -> None:
         self._settle_at = max(self._settle_at, cycle + self.length)
 
-    def peek_head(self) -> int | None:
-        """Task at the head of the ready list, if any (used by preloading)."""
-        return self.ready[0].task_id if self.ready else None
-
     def peek_next(self, current_task_id: int | None) -> int | None:
         """The task most likely to run at the next switch (§4.7).
 

@@ -90,15 +90,15 @@ class RTOSUnit:
         memory: Memory,
         timeline: MemoryTimeline,
         region: ContextRegion,
-        word_cost=None,
     ):
         self.config = config
         self.memory = memory
         self.timeline = timeline
         self.region = region
         # Per-word port cost hook; NaxRiscv shares the data cache (§5.3),
-        # so the word cost depends on hit/miss there.
-        self.word_cost = word_cost or _flat_word_cost
+        # so the word cost depends on hit/miss there. The System rewires
+        # it to the core's ``rtosunit_word_cost``.
+        self.word_cost = _flat_word_cost
         self.scheduler = (HardwareScheduler(length=config.list_length)
                           if config.sched else None)
         self.hwsync = None

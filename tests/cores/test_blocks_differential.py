@@ -5,7 +5,9 @@ block dispatch, on both the software baseline and a hardware-assisted
 configuration. The two modes must agree on everything observable:
 cycle count, retired instructions, the full core stats, every context
 switch record and the final register state. This is the acceptance
-test for the exactness contract in ``repro.cores.blocks``.
+test for the exactness contract in ``repro.cores.blocks``. It runs
+twice: with superblocks, and with plain blocks only (no block ever
+gets hot enough to be promoted).
 
 The two long-run workloads ride along for their loops:
 ``interrupt_response``'s background task spins in a two-instruction
@@ -19,7 +21,7 @@ import dataclasses
 import pytest
 
 from repro.cores import CORE_NAMES
-from repro.cores.blocks import BlockEngine, superblocks_enabled_default
+from repro.cores import blocks as blocks_module
 from repro.kernel.builder import KernelBuilder
 from repro.rtosunit.config import parse_config
 from repro.workloads.suite import (RTOSBENCH_WORKLOADS, interrupt_response,
@@ -51,17 +53,23 @@ def _run(core_name, config_name, factory, blocks):
     system = builder.build(core_name,
                           external_events=workload.external_events)
     cpu = system.core
-    if blocks:
-        cpu.block_engine = BlockEngine(cpu)
-    else:
+    if not blocks:
         cpu.block_engine = None
     system.run(workload.max_cycles)
     return _observable(cpu, system), cpu.perf_counters(), cpu.block_engine
 
 
+@pytest.mark.parametrize("superblocks", [True, False],
+                         ids=["superblocks", "plain-blocks"])
 @pytest.mark.parametrize("config_name", CONFIGS)
 @pytest.mark.parametrize("core_name", sorted(CORE_NAMES))
-def test_suite_identical_with_and_without_blocks(core_name, config_name):
+def test_suite_identical_with_and_without_blocks(core_name, config_name,
+                                                 superblocks, monkeypatch):
+    if not superblocks:
+        # No block ever gets hot enough to promote. The per-class
+        # dispatch clones share the module's globals, so the patch
+        # reaches them.
+        monkeypatch.setattr(blocks_module, "SUPERBLOCK_HOT", 1 << 62)
     for factory in RTOSBENCH_WORKLOADS + LONG_RUN_WORKLOADS:
         on, on_counters, engine = _run(core_name, config_name, factory,
                                        blocks=True)
@@ -76,7 +84,11 @@ def test_suite_identical_with_and_without_blocks(core_name, config_name):
         assert on_counters["fast_instret"] > 0, (
             f"{name} on {core_name}/{config_name}: blocks never dispatched")
         assert off_counters["fast_instret"] == 0
-        if factory is interrupt_response and superblocks_enabled_default():
+        if not superblocks:
+            assert engine.superblocks == 0, (
+                f"{name} on {core_name}/{config_name}: a block was "
+                f"promoted with promotion disabled")
+        elif factory is interrupt_response:
             # The background spin loop ran as an unrolled superblock.
             assert loop_superblocks(engine), (
                 f"{name} on {core_name}/{config_name}: spin loop never "

@@ -13,8 +13,7 @@ full core stats, the registers and the buffer must agree.
 from hypothesis import given, settings, strategies as st
 
 from repro.cores import CORE_CLASSES
-from repro.cores.blocks import (SUPERBLOCK_HOT, BlockEngine,
-                                superblocks_enabled_default)
+from repro.cores.blocks import SUPERBLOCK_HOT
 from repro.cores.system import System
 from repro.isa.assembler import assemble
 from repro.rtosunit.config import parse_config
@@ -90,7 +89,8 @@ def _run(program, core, blocks):
     system = System(CORE_CLASSES[core], parse_config("vanilla"),
                     tick_period=1 << 30)
     cpu = system.core
-    cpu.block_engine = BlockEngine(cpu) if blocks else None
+    if not blocks:
+        cpu.block_engine = None
     system.load(program)
     system.run(max_cycles=2_000_000)
     assert cpu.halted
@@ -110,6 +110,5 @@ def test_loop_programs_identical_with_and_without_blocks(case):
         assert on == off, (core, source)
         # The first trip of each pass enters through ``outer``, so the
         # loop head completes (trips - 1) * passes times.
-        if (trips - 1) * passes > SUPERBLOCK_HOT \
-                and superblocks_enabled_default():
+        if (trips - 1) * passes > SUPERBLOCK_HOT:
             assert on_system.core.block_engine.superblocks > 0

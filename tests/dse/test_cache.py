@@ -1,4 +1,4 @@
-"""Content-addressed cache: hits, misses, invalidation, checkpoints."""
+"""Content-addressed cache: hits, misses, invalidation, resume."""
 
 import json
 
@@ -8,12 +8,10 @@ from repro.dse import (
     DSEExecutor,
     GridPoint,
     ResultCache,
-    SweepManifest,
     source_fingerprint,
 )
 from repro.dse import executor as executor_module
 from repro.dse.cache import CACHE_SCHEMA, stamp_payload
-from repro.errors import ExplorationError
 from repro.harness.export import run_dict
 
 from tests.dse.helpers import CONTENTS, reference_payload, seeded_grid
@@ -239,55 +237,9 @@ class TestSeedStamp:
         assert len(cache) == 2
 
 
-class TestSweepManifest:
-    def test_checkpoint_and_resume(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        manifest = SweepManifest(path)
-        points = [POINT, GridPoint("cva6", "SLT", "yield_pingpong", 2, 1)]
-        manifest.begin(points)
-        manifest.mark_done(points[0])
-        # A fresh process resuming the same grid sees the checkpoint.
-        resumed = SweepManifest(path)
-        resumed.begin(points)
-        assert resumed.done_count(points) == 1
-
-    def test_grid_change_resets(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        manifest = SweepManifest(path)
-        manifest.begin([POINT])
-        manifest.mark_done(POINT)
-        other_grid = [GridPoint("cva6", "T", "sem_signal", 2, 1)]
-        resumed = SweepManifest(path)
-        resumed.begin(other_grid)
-        assert resumed.done_count(other_grid) == 0
-
-    def test_mark_done_is_idempotent(self, tmp_path):
-        manifest = SweepManifest(tmp_path / "m.json")
-        manifest.begin([POINT])
-        manifest.mark_done(POINT)
-        manifest.mark_done(POINT)
-        assert json.loads((tmp_path / "m.json").read_text())["done"] == \
-            [SweepManifest.point_id(POINT)]
-
-    def test_corrupt_manifest_raises(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text("{broken")
-        with pytest.raises(ExplorationError, match="corrupt sweep manifest"):
-            SweepManifest(path)
-
-    def test_resumed_sweep_writes_once_per_content(self, tmp_path,
-                                                   monkeypatch):
-        grid = seeded_grid(seeds=tuple(range(1, 13)))
-        cache = ResultCache(tmp_path)
-        path = cache.root / "manifest.json"
-        writes = []
-        real_save = SweepManifest._save
-
-        def counting_save(manifest):
-            writes.append(len(manifest.data["done"]))
-            real_save(manifest)
-
-        monkeypatch.setattr(SweepManifest, "_save", counting_save)
+class TestResumeFromCache:
+    def test_interrupted_sweep_resumes_from_the_cache(self, tmp_path):
+        grid = seeded_grid()
 
         class Interrupted(Exception):
             pass
@@ -295,17 +247,17 @@ class TestSweepManifest:
         def interrupt(_point, _run, _from_cache):
             raise Interrupted
 
-        # Interrupted as the first content completes.
+        # Interrupted as the first content completes: it is stored
+        # before progress fires, the second content never runs.
         with pytest.raises(Interrupted):
-            DSEExecutor(cache=cache, manifest=SweepManifest(path),
+            DSEExecutor(cache=ResultCache(tmp_path),
                         progress=interrupt).run(grid)
-        assert writes == [0, 12]  # begin, then one content's 12 seeds
 
-        writes.clear()
-        resumed = SweepManifest(path)
-        assert resumed.done_count(grid) == 12
-        DSEExecutor(cache=ResultCache(tmp_path), manifest=resumed).run(grid)
-        # The first content is a cache hit already recorded; the second
-        # executes and is recorded with a single write.
-        assert writes == [24]
-        assert SweepManifest(path).done_count(grid) == len(grid)
+        cache = ResultCache(tmp_path)
+        runs = DSEExecutor(cache=cache).run(grid)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
+        uncached = DSEExecutor().run(grid)
+        assert list(runs) == list(uncached) == grid
+        assert ([run_dict(run) for run in runs.values()]
+                == [run_dict(run) for run in uncached.values()])

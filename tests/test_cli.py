@@ -24,6 +24,17 @@ class TestParser:
         assert info.value.code == 2
         assert "invalid choice: 'snapshot'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["dse", "--resume"], ["fig12", "--jobs", "2"],
+        ["wcet", "--jobs", "2"]], ids=["dse-resume", "fig12-jobs",
+                                       "wcet-jobs"])
+    def test_removed_switches_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in \
+            capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         from repro import __version__
 
@@ -160,16 +171,21 @@ class TestDseCommand:
         out = capsys.readouterr().out
         assert "cache: 0 hits, 1 misses, 0 invalidated (hit rate 0.0%)" in out
 
-    def test_resume_reports_checkpoint(self, tmp_path, capsys):
+    def test_json_cache_block_has_one_shape(self, tmp_path, capsys):
+        import json
+
         argv = ["dse", "--cores", "cv32e40p", "--configs", "vanilla",
                 "--workloads", "yield_pingpong", "--iterations", "2",
-                "--no-progress", "--resume",
-                "--cache-dir", str(tmp_path / "cache")]
-        assert main(argv) == 0
+                "--no-progress"]
+        cached, uncached = tmp_path / "cached.json", tmp_path / "none.json"
+        assert main(argv + ["--cache-dir", str(tmp_path / "cache"),
+                            "--json", str(cached)]) == 0
+        assert main(argv + ["--json", str(uncached)]) == 0
         capsys.readouterr()
-        assert main(argv) == 0
-        assert "resume: 1/1 grid points already complete" in \
-            capsys.readouterr().out
+        stats = [json.loads(path.read_text())["cache"]
+                 for path in (cached, uncached)]
+        assert list(stats[0]) == list(stats[1])
+        assert all(value == 0 for value in stats[1].values())
 
     def test_cache_written_under_one_seed_serves_another(self, tmp_path,
                                                           capsys):
@@ -199,10 +215,6 @@ class TestDseCommand:
     def test_bad_objectives_fail(self, capsys):
         assert main(["dse", "--objectives", "latency,speed"]) == 1
         assert "unknown objective" in capsys.readouterr().err
-
-    def test_resume_without_cache_dir_rejected(self, capsys):
-        assert main(["dse", "--resume", "--no-progress"]) == 2
-        assert "--resume needs --cache-dir" in capsys.readouterr().err
 
 
 class TestFuzzCommand:
