@@ -56,13 +56,3 @@ def area_chart(reports: Mapping, core: str, width: int = 44) -> str:
         return f"(no data for {core})"
     return hbar_chart(rows, width=width, unit="x",
                       title=f"{core}: normalized ASIC area")
-
-
-def power_chart(reports: Mapping, core: str, width: int = 44) -> str:
-    """Figure 13 as bars: total mW per configuration."""
-    rows = [(config, report.total_mw)
-            for (c, config), report in reports.items() if c == core]
-    if not rows:
-        return f"(no data for {core})"
-    return hbar_chart(rows, width=width, unit=" mW",
-                      title=f"{core}: power @500 MHz (mutex_workload)")

@@ -10,9 +10,9 @@ counters from the cycle simulation of the same ``mutex_workload`` the
 paper uses for its gate-level power analysis.
 """
 
-from repro.asic.area import AreaModel, AreaReport, area_report, list_length_sweep
-from repro.asic.frequency import FrequencyModel, fmax_report
-from repro.asic.power import PowerModel, power_report
+from repro.asic.area import AreaModel, AreaReport
+from repro.asic.frequency import FrequencyModel
+from repro.asic.power import PowerModel
 from repro.asic.technology import CORE_BASELINES, Technology, TECH_22NM
 
 
@@ -45,9 +45,5 @@ __all__ = [
     "PowerModel",
     "TECH_22NM",
     "Technology",
-    "area_report",
     "cost_summary",
-    "fmax_report",
-    "list_length_sweep",
-    "power_report",
 ]

@@ -114,17 +114,3 @@ class AreaModel:
             config = parse_config("T", list_length=length)
             points.append((length, self.report(core, config).total_kge))
         return points
-
-
-def area_report(core: str, config_name: str,
-                list_length: int = 8) -> AreaReport:
-    """Convenience one-shot report."""
-    return AreaModel().report(core, parse_config(config_name, list_length))
-
-
-def list_length_sweep(core: str = "cv32e40p", lengths=None):
-    """Convenience wrapper for Figure 12."""
-    model = AreaModel()
-    if lengths is None:
-        return model.list_scaling(core)
-    return model.list_scaling(core, lengths)

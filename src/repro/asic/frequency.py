@@ -72,7 +72,3 @@ class FrequencyModel:
             for core in cores
             for name in configs
         }
-
-
-def fmax_report(core: str, config_name: str) -> FmaxReport:
-    return FrequencyModel().report(core, parse_config(config_name))

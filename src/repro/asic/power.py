@@ -96,7 +96,3 @@ class PowerModel:
                            static_mw=static * scale,
                            clock_mw=clock * scale,
                            activity_mw=activity * scale)
-
-
-def power_report(core: str, config: RTOSUnitConfig, run=None) -> PowerReport:
-    return PowerModel().report(core, config, run)

@@ -43,6 +43,22 @@ from repro.errors import ReproError
 from repro.rtosunit.config import EVALUATED_CONFIGS, parse_config
 
 
+def _iterations(text: str) -> int:
+    """argparse type of every ``--iterations``: an int of at least 1.
+
+    Workload task loops count down from a multiple of the iteration
+    count, so 0 or less would run on to the simulator's cycle limit.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cores", default=",".join(CORE_NAMES),
                         help="comma-separated core list")
@@ -666,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig9", help="Figure 9: latency/jitter sweep")
     _add_grid_args(p)
-    p.add_argument("--iterations", type=int, default=10)
+    p.add_argument("--iterations", type=_iterations, default=10)
     p.add_argument("--seed", type=int, default=0,
                    help="base seed recorded on every run")
     p.add_argument("--jobs", type=int, default=1,
@@ -687,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core", default="cv32e40p")
     p = sub.add_parser("fig13", help="Figure 13: power on mutex_workload")
     _add_grid_args(p)
-    p.add_argument("--iterations", type=int, default=6)
+    p.add_argument("--iterations", type=_iterations, default=6)
 
     p = sub.add_parser("wcet", help="worst-case ISR timing (CV32E40P)")
     p.add_argument("--config", default=None,
@@ -700,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", default=None,
                    help="comma-separated workload list (default: the "
                         "RTOSBench suite)")
-    p.add_argument("--iterations", type=int, default=10)
+    p.add_argument("--iterations", type=_iterations, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="process-pool workers for the grid")
@@ -722,14 +738,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core", default="cv32e40p", choices=CORE_NAMES)
     p.add_argument("--config", default="SLT")
     p.add_argument("--workload", default="yield_pingpong")
-    p.add_argument("--iterations", type=int, default=20)
+    p.add_argument("--iterations", type=_iterations, default=20)
 
     p = sub.add_parser(
         "profile", help="simulator throughput + block-cache telemetry")
     p.add_argument("--core", default="cv32e40p", choices=CORE_NAMES)
     p.add_argument("--config", default="vanilla")
     p.add_argument("--workload", default="yield_pingpong")
-    p.add_argument("--iterations", type=int, default=40)
+    p.add_argument("--iterations", type=_iterations, default=40)
     p.add_argument("--no-blocks", action="store_true",
                    help="time the exact per-instruction path instead")
     p.add_argument("--blocks", action="store_true",
@@ -750,14 +766,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core", default="cv32e40p", choices=CORE_NAMES)
     p.add_argument("--config", default="SLT")
     p.add_argument("--workload", default="yield_pingpong")
-    p.add_argument("--iterations", type=int, default=3)
+    p.add_argument("--iterations", type=_iterations, default=3)
     p.add_argument("--limit", type=int, default=60)
     p.add_argument("--switches", type=int, default=10)
     p.add_argument("--isr-only", action="store_true")
 
     p = sub.add_parser("verify",
                        help="evaluate every encoded paper claim")
-    p.add_argument("--iterations", type=int, default=8)
+    p.add_argument("--iterations", type=_iterations, default=8)
 
     p = sub.add_parser(
         "faults", help="seeded fault-injection campaign + resilience table")
@@ -792,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated scenario families (default: all)")
     p.add_argument("--count", type=int, default=None,
                    help="scenarios per family per (core, config) cell")
-    p.add_argument("--iterations", type=int, default=None,
+    p.add_argument("--iterations", type=_iterations, default=None,
                    help="workload iterations per scenario run")
     p.add_argument("--threshold", type=float, default=None,
                    help="anomaly factor over the fixed-suite baseline")
@@ -821,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated base configuration list")
     p.add_argument("--personalities", default=None,
                    help="comma-separated personality list (default: all)")
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=_iterations, default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="base seed recorded on every run")
     p.add_argument("--jobs", type=int, default=1,

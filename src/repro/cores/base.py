@@ -695,22 +695,6 @@ class BaseCore:
         self.cycle = issue + penalty
         self.next_issue = self.cycle + 1
 
-    def _time_block(self, items) -> None:
-        """Replay deferred timing for a run of already-executed records.
-
-        *items* is a list of ``(instr, mem_addr, is_store, taken)``
-        tuples from the block executor — never MMIO accesses, custom ops
-        or generic handlers (those flush the batch and time per record).
-        Must leave every piece of timing state (cycle, next_issue,
-        reg_avail, stats, caches, predictor, timeline) exactly as the
-        equivalent sequence of :meth:`_time` calls would. Cores that
-        replace ``_time`` wholesale should override this with a hoisted
-        batch loop; the default simply iterates.
-        """
-        time = self._time
-        for instr, mem_addr, is_store, taken in items:
-            time(instr, (mem_addr, is_store, taken))
-
     def _mem_time(self, addr: int, is_store: bool, issue: int) -> tuple[int, int]:
         """Default: no cache, single-cycle SRAM on a shared port."""
         self.timeline.mark_core_busy(issue)

@@ -13,8 +13,10 @@ Exactness contract (the whole point):
   (``BaseCore._exec`` / ``_time``) is left untouched and the differential
   tests run both paths against each other.
 * Anything a block cannot replay exactly stays on the exact path:
-  ``mret``, CSR ops, ``wfi``, ``ecall``/``ebreak`` are never predecoded,
-  and a tracer, step hook or progress guard on the core disables block
+  ``mret``, ``wfi``, ``ecall``/``ebreak`` and ``fence`` are never
+  predecoded (:data:`~repro.isa.instructions.SYNC_OPS`), and Zicsr ops
+  ride inside blocks only as prebuilt read-modify-write records. A
+  tracer, step hook or progress guard on the core disables block
   dispatch entirely (fault campaigns and invariant checkers therefore
   always observe the per-instruction path). RTOSUnit custom ops are
   *tiered*: deterministic FSM interactions (scheduler list ops, hardware
@@ -88,102 +90,12 @@ SUPERBLOCK_MAX_RECORDS = 512
 SLOW_PC_CAPACITY = 65536
 
 
-# -- per-mnemonic execute handlers (generic layer + fence) -------------------
-#
-# Each handler applies the architectural effects of one instruction
-# exactly as ``BaseCore._exec`` does — same value masking, same stats
-# ordering, same pc update — and returns the same
-# ``(mem_addr, is_store, taken)`` info tuple for the core's ``_time``.
-
+#: ``(mem_addr, is_store, taken)`` timing info handed to ``core._time``
+#: for a record with no memory access, and for a taken control transfer.
 _NO_MEM = (None, False, False)
 _JUMP = (None, False, True)
 
-
-def _make_rr(fn):
-    def handler(core, instr):
-        regs = core.regs
-        core._write_reg(instr.rd, fn(regs[instr.rs1], regs[instr.rs2]))
-        core.pc = (instr.addr + 4) & MASK32
-        return _NO_MEM
-    return handler
-
-
-def _make_ri(fn, mask_imm):
-    def handler(core, instr):
-        imm = instr.imm & MASK32 if mask_imm else instr.imm
-        core._write_reg(instr.rd, fn(core.regs[instr.rs1], imm))
-        core.pc = (instr.addr + 4) & MASK32
-        return _NO_MEM
-    return handler
-
-
-def _make_load(size, sign_bit, sign_sub):
-    def handler(core, instr):
-        addr = (core.regs[instr.rs1] + instr.imm) & MASK32
-        value = core.mem.read(addr, size)
-        if sign_bit and value & sign_bit:
-            value -= sign_sub
-        core._write_reg(instr.rd, value)
-        core.stats.loads += 1
-        core.pc = (instr.addr + 4) & MASK32
-        return (addr, False, False)
-    return handler
-
-
-def _make_store(size):
-    def handler(core, instr):
-        regs = core.regs
-        addr = (regs[instr.rs1] + instr.imm) & MASK32
-        core.mem.write(addr, regs[instr.rs2], size)
-        core.stats.stores += 1
-        core.pc = (instr.addr + 4) & MASK32
-        return (addr, True, False)
-    return handler
-
-
-def _make_branch(fn):
-    def handler(core, instr):
-        regs = core.regs
-        core.stats.branches += 1
-        taken = fn(regs[instr.rs1], regs[instr.rs2])
-        if taken:
-            core.pc = (instr.addr + instr.imm) & MASK32
-            core.stats.taken_branches += 1
-        else:
-            core.pc = (instr.addr + 4) & MASK32
-        return (None, False, taken)
-    return handler
-
-
-def _exec_jal(core, instr):
-    core._write_reg(instr.rd, (instr.addr + 4) & MASK32)
-    core.pc = (instr.addr + instr.imm) & MASK32
-    return _JUMP
-
-
-def _exec_jalr(core, instr):
-    target = (core.regs[instr.rs1] + instr.imm) & MASK32 & ~1
-    core._write_reg(instr.rd, (instr.addr + 4) & MASK32)
-    core.pc = target
-    return _JUMP
-
-
-def _exec_lui(core, instr):
-    core._write_reg(instr.rd, instr.imm << 12)
-    core.pc = (instr.addr + 4) & MASK32
-    return _NO_MEM
-
-
-def _exec_auipc(core, instr):
-    core._write_reg(instr.rd, instr.addr + (instr.imm << 12))
-    core.pc = (instr.addr + 4) & MASK32
-    return _NO_MEM
-
-
-def _exec_fence(core, instr):
-    core.pc = (instr.addr + 4) & MASK32
-    return _NO_MEM
-
+# -- per-mnemonic operators, carried by execute records as ``fn`` ------------
 
 _ALU_FNS = {
     "add": lambda a, b: a + b,
@@ -238,29 +150,6 @@ _LOAD_SPECS = {
     "lbu": (1, 0, 0),
 }
 
-EXEC_HANDLERS = {
-    "jal": _exec_jal,
-    "jalr": _exec_jalr,
-    "lui": _exec_lui,
-    "auipc": _exec_auipc,
-    "fence": _exec_fence,
-    "sw": _make_store(4),
-    "sh": _make_store(2),
-    "sb": _make_store(1),
-}
-for _m, _fn in _ALU_FNS.items():
-    EXEC_HANDLERS[_m] = _make_rr(_fn)
-for _m, _fn in _MUL_FNS.items():
-    EXEC_HANDLERS[_m] = _make_rr(_fn)
-for _m, _fn in _DIV_FNS.items():
-    EXEC_HANDLERS[_m] = _make_rr(_fn)
-for _m, (_fn, _mask) in _ALUI_FNS.items():
-    EXEC_HANDLERS[_m] = _make_ri(_fn, _mask)
-for _m, _fn in _BRANCH_FNS.items():
-    EXEC_HANDLERS[_m] = _make_branch(_fn)
-for _m, (_size, _bit, _sub) in _LOAD_SPECS.items():
-    EXEC_HANDLERS[_m] = _make_load(_size, _bit, _sub)
-
 # -- execute-record kinds for the inlined in-order layer ---------------------
 
 K_ADDI = 0
@@ -278,7 +167,6 @@ K_JAL = 10
 K_JALR = 11
 K_MUL = 12
 K_DIV = 13
-K_GENERIC = 14
 #: RTOSUnit custom op resident in the block: ``fn`` is the per-op fast
 #: handler ``(rs1_value, rs2_value, issue) -> (rd_value, complete_cycle)``.
 K_CUSTOM = 15
@@ -304,8 +192,8 @@ def _classify_inorder(instr: Instr):
 
     Record layout: ``(kind, rd, rs1, rs2, imm, instr, fn)`` where ``fn``
     carries the bound operator / load spec / store size per kind.
-    Returns None when the mnemonic has no inlined kind and no generic
-    handler (the block then ends and the instruction stays slow-path).
+    Returns None when the mnemonic has no inlined kind (the block then
+    ends and the instruction stays slow-path).
     """
     m = instr.mnemonic
     rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
@@ -345,10 +233,7 @@ def _classify_inorder(instr: Instr):
     fn = _DIV_FNS.get(m)
     if fn is not None:
         return (K_DIV, rd, rs1, rs2, imm, instr, fn)
-    handler = EXEC_HANDLERS.get(m)
-    if handler is None:
-        return None
-    return (K_GENERIC, rd, rs1, rs2, imm, instr, handler)
+    return None
 
 
 def _classify_csr(instr: Instr, csr_regs):
@@ -519,7 +404,9 @@ class BlockEngine:
                                  if unit is not None else None)
         cls = type(core)
         #: True when the core keeps BaseCore's in-order timing engine and
-        #: reference executor, enabling the fully inlined loop.
+        #: reference executor, enabling the fully inlined loop. Any other
+        #: core runs the architectural loop and must define
+        #: ``_time_block`` (see NaxRiscv).
         self._inorder = (cls._time is BaseCore._time
                          and cls._exec is BaseCore._exec
                          and cls._step_normal is BaseCore._step_normal)
@@ -908,10 +795,10 @@ class BlockEngine:
         ``core._time_block`` call. Deferring is unobservable because the
         D$/predictor/timeline are timing-only state and load data comes
         from the memory bytes — any point that *does* observe timing
-        (MMIO access, custom op, generic handler, exception) flushes the
-        pending batch first so ``core.cycle`` is live. When the bound
-        fails, every record calls ``core._time`` directly with per-record
-        bail checks, exactly as before. Return codes: 0 = clean
+        (MMIO access, CSR or custom op, exception) flushes the pending
+        batch first so ``core.cycle`` is live. When the bound fails,
+        every record calls ``core._time`` directly with per-record bail
+        checks, exactly as before. Return codes: 0 = clean
         completion (counts toward superblock promotion), 2 = early break
         (bail / SMC / side exit), 3 = break that invalidates the cached
         interrupt horizon (MMIO store, rescheduling custom op).
@@ -1162,28 +1049,6 @@ class BlockEngine:
                         # cached interrupt horizon.
                         rc = 3
                         break
-                    if core.cycle >= bail:
-                        rc = 2
-                        break
-                    continue
-                else:  # K_GENERIC (fence and any future mnemonic)
-                    if pending:
-                        time_block(pending)
-                        del pending[:]
-                    info = fn(core, instr)
-                    time_fn(instr, info)
-                    pc_set = True
-                    done += 1
-                    if info[1]:  # a future store-like handler: same checks
-                        addr = info[0]
-                        if addr in mmio:
-                            rc = 3
-                            break
-                        word = addr & _WORD
-                        if word in dcache or word in addr_map:
-                            core.invalidate_code(word)
-                            rc = 2
-                            break
                     if core.cycle >= bail:
                         rc = 2
                         break
@@ -1683,29 +1548,6 @@ class BlockEngine:
                         core.cycle = cycle
                         h = self._horizon()
                         bail = h if h < limit else limit
-                else:  # K_GENERIC (fence and any future mnemonic)
-                    core.cycle = cycle
-                    core.next_issue = next_issue
-                    info = fn(core, instr)
-                    core._time(instr, info)
-                    cycle = core.cycle
-                    next_issue = core.next_issue
-                    pc_set = True
-                    if info[1]:  # a future store-like handler: same checks
-                        done += 1
-                        addr = info[0]
-                        if addr in mmio:
-                            rc = 3
-                            break
-                        word = addr & _WORD
-                        if word in dcache or word in addr_map:
-                            core.invalidate_code(word)
-                            rc = 2
-                            break
-                        if cycle >= bail:
-                            rc = 2
-                            break
-                        continue
                 done += 1
                 if cycle >= bail:
                     rc = 2

@@ -83,7 +83,7 @@ class NaxRiscv(BaseCore):
     def _time(self, instr: Instr, info: tuple[int | None, bool, bool]) -> None:
         mem_addr, is_store, taken = info
         params = self.params
-        # _advance_front, inlined: this runs once per retired instruction.
+        # Take a front-end slot: ``issue_width`` per cycle.
         slots = self._front_slots
         if slots == 0:
             self._front += 1
@@ -225,13 +225,6 @@ class NaxRiscv(BaseCore):
         self.stats.stall_cycles += stall
         if mispredicts:
             self.stats.mispredicts += mispredicts
-
-    def _advance_front(self) -> int:
-        if self._front_slots == 0:
-            self._front += 1
-            self._front_slots = self.params.issue_width
-        self._front_slots -= 1
-        return self._front
 
     def _flush_front(self, cycle: int) -> None:
         if cycle > self._front:

@@ -13,7 +13,10 @@ pool rebuilt (stalled worker processes are terminated, not abandoned),
 and a task whose failures exhaust the retry budget is either raised as
 :class:`~repro.errors.ExplorationError` (the historical behaviour) or —
 when the caller provides ``on_poison`` — quarantined into a structured
-result so one poisonous grid point cannot take down a whole batch.
+result so one poisonous grid point cannot take down a whole batch. A
+worker that raises a :class:`~repro.errors.ReproError` fails its task on
+the first attempt: library errors are deterministic, so only
+infrastructure failures use up retries.
 :class:`PoolHealth` counts every one of those events for telemetry.
 
 Entry points:
@@ -37,7 +40,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, replace
 
-from repro.errors import ExplorationError
+from repro.errors import ExplorationError, ReproError
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ class PoolHealth:
     ``retries`` counts charged re-executions, ``crashes`` futures lost
     to dead worker processes, ``stalls`` tasks past their deadline,
     ``restarts`` pool rebuilds, and ``poisoned`` tasks quarantined after
-    exhausting the retry budget.
+    exhausting the retry budget or failing with a library error.
     """
 
     retries: int = 0
@@ -157,11 +160,11 @@ class PoolHealth:
 
 def _poison(index: int, item, attempts: int, reason: str, on_poison,
             health: PoolHealth):
-    """Quarantine a task past its retry budget, or raise (default path)."""
+    """Quarantine a task that failed for good, or raise (default path)."""
     if on_poison is None:
         raise ExplorationError(
-            f"grid task {index} ({item!r}) failed after "
-            f"{attempts} attempts: {reason}")
+            f"grid task {index} ({item!r}) failed after {attempts} "
+            f"attempt{'s' if attempts != 1 else ''}: {reason}")
     health.poisoned += 1
     return on_poison(index, item, attempts, reason)
 
@@ -170,13 +173,19 @@ def _run_serial(worker, items, retries: int, on_result, on_poison,
                 health: PoolHealth) -> list:
     results = []
     for index, item in enumerate(items):
-        try:
-            result = _attempt_serial(worker, item, index, retries, health)
-        except ExplorationError as exc:
-            if on_poison is None:
-                raise
-            health.poisoned += 1
-            result = on_poison(index, item, retries + 1, str(exc))
+        attempts = 1
+        while True:
+            try:
+                result = worker(item)
+                break
+            except Exception as exc:  # noqa: BLE001 - retried or poisoned
+                if attempts > retries or isinstance(exc, ReproError):
+                    result = _poison(index, item, attempts,
+                                     f"{type(exc).__name__}: {exc}",
+                                     on_poison, health)
+                    break
+            health.retries += 1
+            attempts += 1
         results.append(result)
         if on_result is not None:
             on_result(index, result)
@@ -279,7 +288,11 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
       :class:`ExplorationError` — unless ``on_poison(index, item,
       attempts, reason)`` is given, in which case its return value is
       quarantined into the task's result slot and the rest of the map
-      proceeds.
+      proceeds;
+    * a worker that raises a :class:`~repro.errors.ReproError` (a
+      simulation or analysis failure) fails its task at once, on either
+      path: the same item would fail the same way again, so it takes
+      the poison path above without charging a retry.
 
     ``on_result(index, result)`` fires once per completed item (in
     completion order) for progress telemetry; ``health`` accumulates
@@ -345,7 +358,7 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
             done, _ = concurrent.futures.wait(
                 futures, timeout=wait_s,
                 return_when=concurrent.futures.FIRST_COMPLETED)
-            completed, failed, broken = [], [], []
+            completed, fatal, failed, broken = [], [], [], []
             rebuild = False
             if done:
                 for future in done:
@@ -359,6 +372,10 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
                                        f"worker process died: {exc}"))
                     except concurrent.futures.CancelledError:
                         broken.append((index, "worker pool torn down"))
+                    except ReproError as exc:
+                        # Deterministic: a retry would fail the same way.
+                        fatal.append((index,
+                                      f"{type(exc).__name__}: {exc}"))
                     except Exception as exc:  # noqa: BLE001 - charged below
                         failed.append((index,
                                        f"{type(exc).__name__}: {exc}"))
@@ -395,6 +412,9 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
                     start(index)
             for index, result in completed:
                 finish(index, result)
+            for index, reason in fatal:
+                finish(index, _poison(index, items[index], attempts[index],
+                                      reason, on_poison, health))
             for index, reason in failed + broken:
                 charge(index, reason)
     finally:
@@ -403,21 +423,6 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
         if owned:
             pool.close()
     return results
-
-
-def _attempt_serial(worker, item, index: int, retries: int,
-                    health: PoolHealth):
-    last = None
-    for attempt in range(retries + 1):
-        if attempt:
-            health.retries += 1
-        try:
-            return worker(item)
-        except Exception as exc:  # noqa: BLE001 - wrapped below
-            last = exc
-    raise ExplorationError(
-        f"grid task {index} failed after {retries + 1} attempts: "
-        f"{type(last).__name__}: {last}") from last
 
 
 class DSEExecutor:

@@ -18,11 +18,11 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.cores import CORE_NAMES
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.harness.metrics import LatencyStats
 from repro.kernel.builder import KernelBuilder
 from repro.mem.regions import MemoryLayout
-from repro.rtosunit.config import EVALUATED_CONFIGS, RTOSUnitConfig, parse_config
+from repro.rtosunit.config import EVALUATED_CONFIGS, RTOSUnitConfig
 from repro.workloads import RTOSBENCH_WORKLOADS, Workload
 
 
@@ -152,18 +152,12 @@ def run_workload(core: str, config: RTOSUnitConfig, workload: Workload,
 
 
 def _resolve_workloads(workloads, iterations: int) -> list[Workload]:
-    """Materialize workload factories exactly once.
+    """Materialize :func:`run_suite`'s workloads, calling each factory once.
 
     Entries may be factories, prebuilt :class:`Workload` instances, or
     workload *names* — including canonical ``fuzz:`` scenario names,
     which resolve through :func:`repro.workloads.workload_by_name`.
-
-    Every caller that loops over (core, config) cells must resolve the
-    factory list *before* the loop and reuse the instances: a factory is
-    not required to be pure (names may encode a counter), and per-cell
-    re-invocation would silently give each cell different workload names
-    — and therefore different :func:`derive_point_seed` values — for
-    what is meant to be the same grid column.
+    ``None`` means the RTOSBench suite.
     """
     from repro.workloads import workload_by_name
 
@@ -194,15 +188,15 @@ def run_suite(core: str, config: RTOSUnitConfig, iterations: int = 20,
     return suite
 
 
-def _grid_workload_names(workloads, iterations: int) -> list[str] | None:
-    """Names of *workloads* if they are executor-reconstructible.
+def _grid_workload_names(workloads, iterations: int) -> list[str]:
+    """Names of *workloads*, from which the executor rebuilds them.
 
     The process-pool executor rebuilds workloads by name inside worker
     processes, which works for registered factories and for workload
     names — including canonical ``fuzz:`` scenario names, whose specs
-    regenerate the exact workload anywhere. Returns ``None`` for ad-hoc
-    factories or prebuilt :class:`Workload` instances — the sweep then
-    falls back to the in-process path.
+    regenerate the exact workload anywhere. Ad-hoc factories and
+    prebuilt :class:`Workload` instances have no such name and raise
+    :class:`ConfigurationError`; :func:`run_suite` runs them.
     """
     from repro.workloads import ALL_WORKLOADS, workload_by_name
 
@@ -216,7 +210,9 @@ def _grid_workload_names(workloads, iterations: int) -> list[str] | None:
         elif callable(factory) and factory in ALL_WORKLOADS:
             names.append(factory(iterations).name)
         else:
-            return None
+            raise ConfigurationError(
+                f"sweep() takes registered workloads or workload names, "
+                f"not {factory!r}; run ad-hoc workloads with run_suite()")
     return names
 
 
@@ -225,27 +221,16 @@ def sweep(cores=CORE_NAMES, configs=EVALUATED_CONFIGS, iterations: int = 20,
           progress=None) -> dict[tuple[str, str], SuiteResult]:
     """The full Fig. 9 grid: every core × every configuration.
 
-    Routed through the :mod:`repro.dse` executor: ``jobs`` fans the grid
-    out over a process pool, ``cache`` (a
-    :class:`repro.dse.cache.ResultCache`) makes warm re-runs
-    near-instant, and ``progress`` receives one
+    ``workloads`` lists registered workload factories or workload names
+    (default: the RTOSBench suite). The grid runs through the
+    :mod:`repro.dse` executor: ``jobs`` fans it out over a process pool,
+    ``cache`` (a :class:`repro.dse.cache.ResultCache`) makes warm
+    re-runs near-instant, and ``progress`` receives one
     ``(point, result, from_cache)`` call per completed grid point.
     Results are keyed and ordered by grid position regardless of
     completion order, so exports are byte-identical across ``jobs``.
     """
     names = _grid_workload_names(workloads, iterations)
-    if names is None:  # ad-hoc workloads: in-process fallback
-        # Resolve factories ONCE so every (core, config) cell runs the
-        # same workload instances — and derives the same per-run seeds —
-        # instead of re-invoking potentially impure factories per cell.
-        resolved = _resolve_workloads(workloads, iterations)
-        return {
-            (core, config_name): run_suite(
-                core, parse_config(config_name), iterations=iterations,
-                workloads=resolved, seed=seed)
-            for core in cores
-            for config_name in configs
-        }
     from repro.dse.executor import DSEExecutor, build_grid, group_suites
 
     points = build_grid(cores=cores, configs=configs, workloads=names,

@@ -157,25 +157,6 @@ def area_dict(reports: Mapping) -> dict:
     } for report in reports.values()]}
 
 
-def fmax_dict(reports: Mapping) -> dict:
-    return {"points": [{
-        "core": report.core,
-        "config": report.config,
-        "fmax_ghz": report.fmax_ghz,
-        "drop_percent": report.drop_percent,
-    } for report in reports.values()]}
-
-
-def power_dict(reports: Mapping) -> dict:
-    return {"points": [{
-        "core": report.core,
-        "config": report.config,
-        "total_mw": report.total_mw,
-        "added_mw": report.added_mw,
-        "increase_percent": report.increase_percent,
-    } for report in reports.values()]}
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -90,25 +90,6 @@ class Program:
         except KeyError:
             raise AssemblerError(f"undefined symbol {name!r}") from None
 
-    def merged_with(self, other: "Program") -> "Program":
-        """Return a new program combining this image with *other*.
-
-        Overlapping words are an error; symbol collisions are an error.
-        """
-        overlap = set(self.words) & set(other.words)
-        if overlap:
-            raise AssemblerError(
-                f"program images overlap at {min(overlap):#010x}")
-        clash = set(self.symbols) & set(other.symbols)
-        if clash:
-            raise AssemblerError(f"duplicate symbols: {sorted(clash)[:5]}")
-        merged = Program(entry=self.entry)
-        merged.words = {**self.words, **other.words}
-        merged.symbols = {**self.symbols, **other.symbols}
-        merged.annotations = {**self.annotations, **other.annotations}
-        merged.source_map = {**self.source_map, **other.source_map}
-        return merged
-
 
 # -- expressions --------------------------------------------------------------
 

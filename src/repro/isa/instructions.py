@@ -70,14 +70,13 @@ STORES = frozenset({"sb", "sh", "sw"})
 MUL_DIV = frozenset({"mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"})
 CSR_OPS = frozenset({"csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"})
 
-#: Mnemonics the block predecoder must leave on the exact per-instruction
+#: Mnemonics the block predecoder leaves on the exact per-instruction
 #: path: privilege/bank transitions, waiting and environment calls all
 #: have side effects (RTOSUnit FSMs, time skips) that a predecoded block
-#: cannot replay cycle-exactly. CSR ops are listed for any generic
-#: consumer, but the predecoder intercepts them first: they ride inside
-#: blocks as prebuilt read-modify-write records, with mstatus/mie writes
-#: ending the block for an interrupt-horizon resync.
-SYNC_OPS = CSR_OPS | frozenset({"mret", "wfi", "ecall", "ebreak"})
+#: cannot replay cycle-exactly, and ``fence``, which no kernel emits, has
+#: no block record. Every other RV32IM mnemonic and every Zicsr op
+#: predecodes into a block record.
+SYNC_OPS = frozenset({"mret", "wfi", "ecall", "ebreak", "fence"})
 
 #: Control transfers that terminate (and are included in) a basic block.
 BLOCK_TERMINATORS = frozenset(

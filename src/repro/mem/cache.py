@@ -69,10 +69,6 @@ class CacheModel:
         if ways and line in ways:
             ways.remove(line)
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     # -- snapshot/restore (repro.snapshot) -----------------------------------
 
     def capture_state(self) -> tuple:

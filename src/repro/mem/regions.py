@@ -41,11 +41,6 @@ class ContextRegion:
                              f"(max {self.max_tasks})")
         return self.base + (task_id << 7)
 
-    def reg_addr(self, task_id: int, reg: int) -> int:
-        """Address of saved register *reg* inside the task's chunk."""
-        index = CONTEXT_REG_ORDER.index(reg)
-        return self.slot_addr(task_id) + 4 * index
-
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end
 

@@ -118,11 +118,6 @@ class RTOSUnitConfig:
         return self.store and not self.load
 
     @property
-    def uses_set_context_id(self) -> bool:
-        """SET_CONTEXT_ID tells the unit the next task when T is off (§4.2)."""
-        return (self.store or self.load) and not self.sched
-
-    @property
     def hw_timer_autoreset(self) -> bool:
         """(T) auto-resets the tick timer in hardware (§4.4)."""
         return self.sched

@@ -58,7 +58,3 @@ class Coalescer:
         """Drop the in-flight entry (call before resolving followers, so
         a submit racing with completion lands on the cache instead)."""
         self._inflight.pop(key, None)
-
-    @property
-    def inflight_count(self) -> int:
-        return len(self._inflight)

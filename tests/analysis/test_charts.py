@@ -1,9 +1,8 @@
 """ASCII chart renderers."""
 
-from repro.analysis.charts import area_chart, hbar_chart, latency_chart, power_chart
-from repro.asic import AreaModel, PowerModel
+from repro.analysis.charts import area_chart, hbar_chart, latency_chart
+from repro.asic import AreaModel
 from repro.harness import sweep
-from repro.rtosunit.config import parse_config
 from repro.workloads import yield_pingpong
 
 
@@ -43,10 +42,3 @@ class TestFigureCharts:
                                        configs=("vanilla", "SPLIT"))
         text = area_chart(reports, "cva6")
         assert "SPLIT" in text
-
-    def test_power_chart(self):
-        model = PowerModel()
-        reports = {("cv32e40p", name): model.report(
-            "cv32e40p", parse_config(name)) for name in ("vanilla", "SLT")}
-        text = power_chart(reports, "cv32e40p")
-        assert "mW" in text

@@ -10,9 +10,11 @@ core. The broader suite-level equivalence lives in
 import pytest
 
 from repro.cores import CORE_CLASSES
-from repro.cores.blocks import MAX_BLOCK_INSTRS, BlockEngine
+from repro.cores.blocks import (MAX_BLOCK_INSTRS, BlockEngine, _classify_csr,
+                                _classify_inorder)
 from repro.cores.system import System
 from repro.isa.assembler import assemble
+from repro.isa.instructions import SPECS, SYNC_OPS, Instr
 from repro.rtosunit.config import parse_config
 from tests.cores.helpers import HALT_TAIL
 
@@ -90,6 +92,15 @@ leaf:
     jr   ra
 out:
 """,
+    "fence": """
+    li   s0, 10
+loop:
+    addi s1, s1, 1
+fence_pc:
+    fence
+    addi s0, s0, -1
+    bnez s0, loop
+""",
 }
 
 
@@ -101,6 +112,7 @@ class TestFragmentParity:
         off = _run(FRAGMENTS[name], core=core, blocks=False)
         assert _state(on) == _state(off)
         assert on.core.perf_counters()["fast_instret"] > 0
+        assert off.core.perf_counters()["fast_instret"] == 0
 
     @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
     def test_trap_roundtrip_parity(self, core):
@@ -190,6 +202,27 @@ next:
         engine = system.core.block_engine
         assert len(engine.cache[0]) == 3
         assert system.core.csr.read(0x340) == system.core.regs[8]
+
+    def test_every_mnemonic_has_exactly_one_predecode_path(self):
+        # Each RV32IM_Zicsr mnemonic becomes an inlined record or a CSR
+        # record, or stays on the exact path: never two, never none.
+        for mnemonic, spec in SPECS.items():
+            instr = Instr(mnemonic, rd=5, rs1=6, rs2=7, imm=4, csr=0x340,
+                          fmt=spec.fmt)
+            paths = [_classify_inorder(instr) is not None,
+                     _classify_csr(instr, {}) is not None,
+                     mnemonic in SYNC_OPS]
+            assert sum(paths) == 1, (mnemonic, paths)
+        assert "fence" in SYNC_OPS
+
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_fence_stays_on_exact_path(self, core):
+        source = FRAGMENTS["fence"]
+        fence_pc = assemble(source + HALT_TAIL, origin=0).symbols["fence_pc"]
+        engine = _run(source, core=core).core.block_engine
+        assert fence_pc in engine.slow_pcs
+        assert all(fence_pc not in block.addrs
+                   for block in engine.cache.values())
 
     def test_max_block_length_bounds_straight_line_runs(self):
         body = "\n".join(f"    addi s0, s0, {i % 7}"
@@ -318,9 +351,3 @@ class TestRunModeGates:
         counters = system.core.perf_counters()
         assert counters["fast_instret"] == 0
         assert len(seen) == system.core.stats.instret
-
-    def test_engine_disabled_matches_env_off(self):
-        on = _run(FRAGMENTS["memory_mix"], blocks=True)
-        off = _run(FRAGMENTS["memory_mix"], blocks=False)
-        assert off.core.perf_counters()["fast_instret"] == 0
-        assert _state(on) == _state(off)

@@ -23,7 +23,7 @@ from repro.dse import (
 from repro.dse import ResultCache
 from repro.dse import executor as executor_module
 from repro.dse.executor import PoolHealth, WorkerPool
-from repro.errors import ExplorationError
+from repro.errors import ExplorationError, SimulationError
 from repro.harness.experiment import derive_point_seed
 from repro.harness.export import run_dict, sweep_dict
 
@@ -36,6 +36,14 @@ def _double(value):
 
 def _boom(_value):
     raise RuntimeError("boom")
+
+
+def _simulation_error(arg):
+    """Worker that logs each call, then fails deterministically."""
+    value, log_dir = arg
+    with open(pathlib.Path(log_dir) / "calls", "a") as handle:
+        handle.write(f"{value}\n")
+    raise SimulationError("cycle limit exceeded", cycle=7)
 
 
 def _fail_once(arg):
@@ -190,6 +198,31 @@ class TestParallelMap:
     def test_parallel_exhausted_retries_raise(self, tmp_path):
         with pytest.raises(ExplorationError):
             parallel_map(_boom, [1, 2], jobs=2, retries=1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_library_error_is_not_retried(self, tmp_path, jobs):
+        health = PoolHealth()
+        with pytest.raises(ExplorationError,
+                           match="after 1 attempt: SimulationError"):
+            parallel_map(_simulation_error, [(1, str(tmp_path))],
+                         jobs=jobs, retries=2, health=health)
+        assert (tmp_path / "calls").read_text() == "1\n"
+        assert health.retries == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_library_error_quarantines_on_first_attempt(self, tmp_path,
+                                                         jobs):
+        def on_poison(index, item, attempts, reason):
+            return (attempts, reason)
+
+        health = PoolHealth()
+        results = parallel_map(_simulation_error, [(1, str(tmp_path))],
+                               jobs=jobs, retries=2, on_poison=on_poison,
+                               health=health)
+        assert results == [
+            (1, "SimulationError: cycle limit exceeded [cycle=7]")]
+        assert (tmp_path / "calls").read_text() == "1\n"
+        assert (health.retries, health.poisoned) == (0, 1)
 
 
 class TestSupervision:

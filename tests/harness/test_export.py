@@ -2,12 +2,10 @@
 
 import json
 
-from repro.asic import AreaModel, FrequencyModel, PowerModel
+from repro.asic import AreaModel
 from repro.harness import run_suite, run_workload
 from repro.harness.export import (
     area_dict,
-    fmax_dict,
-    power_dict,
     run_dict,
     suite_dict,
     sweep_dict,
@@ -47,20 +45,6 @@ class TestFigureExports:
         payload = area_dict(reports)
         assert len(payload["points"]) == 2
         json.dumps(payload)
-
-    def test_fmax(self):
-        reports = FrequencyModel().figure11(cores=("cv32e40p",),
-                                            configs=("vanilla", "SLT"))
-        payload = fmax_dict(reports)
-        assert payload["points"][1]["drop_percent"] > 0
-        json.dumps(payload)
-
-    def test_power(self):
-        model = PowerModel()
-        reports = {("cv32e40p", "SLT"): model.report(
-            "cv32e40p", parse_config("SLT"))}
-        payload = power_dict(reports)
-        assert payload["points"][0]["total_mw"] > 0
 
 
 class TestWriteJson:

@@ -1,17 +1,21 @@
 """Seed derivation must depend on the grid position, not execution order.
 
-Regression for a subtle bug: the sweep's in-process fallback used to
-re-invoke workload factories for every (core, config) cell. A factory
-is not required to be pure — if its workload names encode a counter,
-each cell silently got a *different* workload name and therefore a
-different :func:`derive_point_seed`, breaking the content-addressed DSE
-cache and serial/parallel byte-identity. Factories are now resolved
-exactly once per suite/sweep.
+A factory is not required to be pure: if its workload names encode a
+counter, calling it once per (core, config) cell would give each cell a
+*different* workload name and therefore a different
+:func:`derive_point_seed`. ``run_suite`` calls each factory once, and
+``sweep`` takes only registered workloads or names, which the DSE
+executor rebuilds by name in any process; it rejects ad-hoc factories
+before simulating anything.
 """
 
 import dataclasses
 import itertools
 
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.harness import experiment
 from repro.harness.experiment import derive_point_seed, run_suite, sweep
 from repro.workloads import yield_pingpong
 
@@ -30,18 +34,18 @@ def _counting_factory():
     return factory
 
 
-def test_sweep_resolves_adhoc_factories_once():
-    grid = sweep(cores=("cv32e40p", "cva6"), configs=("vanilla", "S"),
-                 iterations=2, workloads=[_counting_factory()], seed=SEED)
-    names = {run.workload
-             for suite in grid.values() for run in suite.runs}
-    assert names == {"adhoc0"}, (
-        "cells saw different workload instances: factory re-invoked per "
-        f"(core, config) cell — got names {sorted(names)}")
-    for (core, config_name), suite in grid.items():
-        for run in suite.runs:
-            assert run.seed == derive_point_seed(SEED, core, config_name,
-                                                 "adhoc0")
+@pytest.mark.parametrize("adhoc", [
+    _counting_factory(),
+    dataclasses.replace(yield_pingpong(iterations=2), name="prebuilt"),
+], ids=["factory", "instance"])
+def test_sweep_rejects_adhoc_factories(adhoc, monkeypatch):
+    def simulate(*args, **kwargs):
+        raise AssertionError("sweep() simulated an ad-hoc workload")
+
+    monkeypatch.setattr(experiment, "run_workload", simulate)
+    with pytest.raises(ConfigurationError, match=r"run_suite\(\)"):
+        sweep(cores=("cv32e40p", "cva6"), configs=("vanilla", "S"),
+              iterations=2, workloads=[yield_pingpong, adhoc], seed=SEED)
 
 
 def test_run_suite_pins_seeds_for_prebuilt_workloads():

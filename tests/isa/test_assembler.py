@@ -269,18 +269,7 @@ class TestAnnotationsAndComments:
         assert "mv" in program.source_map[0]
 
 
-class TestProgramMerge:
-    def test_merge_disjoint(self):
-        left = assemble("nop\n")
-        right = assemble(".org 0x100\nother: nop\n")
-        merged = left.merged_with(right)
-        assert 0 in merged.words and 0x100 in merged.words
-        assert merged.symbols["other"] == 0x100
-
-    def test_merge_overlap_rejected(self):
-        with pytest.raises(AssemblerError):
-            assemble("nop\n").merged_with(assemble("nop\n"))
-
+class TestProgram:
     def test_symbol_lookup_error(self):
         with pytest.raises(AssemblerError):
             Program().symbol("nope")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.mem.regions import (
-    CONTEXT_REG_ORDER,
     ContextRegion,
     MEPC_SLOT_INDEX,
     MSTATUS_SLOT_INDEX,
@@ -36,11 +35,6 @@ class TestContextRegion:
         assert region.contains(0x10FF)
         assert not region.contains(0x1100)
         assert not region.contains(0xFFF)
-
-    def test_reg_addr_follows_order(self):
-        region = ContextRegion(base=0, max_tasks=1)
-        for index, reg in enumerate(CONTEXT_REG_ORDER):
-            assert region.reg_addr(0, reg) == 4 * index
 
     def test_csr_slots_after_gprs(self):
         assert MSTATUS_SLOT_INDEX == 29

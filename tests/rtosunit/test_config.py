@@ -55,10 +55,6 @@ class TestDerivedProperties:
         assert not RTOSUnitConfig(store=True, load=True).uses_switch_rf
         assert not RTOSUnitConfig(sched=True).uses_switch_rf
 
-    def test_set_context_id_without_sched(self):
-        assert RTOSUnitConfig(store=True).uses_set_context_id
-        assert not RTOSUnitConfig(store=True, sched=True).uses_set_context_id
-
     def test_timer_autoreset_with_sched(self):
         assert RTOSUnitConfig(sched=True).hw_timer_autoreset
         assert not RTOSUnitConfig(store=True).hw_timer_autoreset

@@ -35,6 +35,19 @@ class TestParser:
         assert f"unrecognized arguments: {argv[1]}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", [
+        "fig9", "fig13", "dse", "run", "profile", "trace", "verify",
+        "fuzz", "ladder"])
+    def test_iterations_below_one_exit_2(self, verb, capsys):
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args([verb, "--iterations", value])
+            assert info.value.code == 2
+            assert f"--iterations: must be at least 1, got {value}" in \
+                capsys.readouterr().err
+        args = build_parser().parse_args([verb, "--iterations", "1"])
+        assert args.iterations == 1
+
     def test_version_flag(self, capsys):
         from repro import __version__
 
