@@ -17,12 +17,14 @@ with block dispatch on and off, asserts that
 and writes the numbers to ``BENCH_core.json`` at the repo root so a
 regression can be bisected against CI artifacts (see docs/PERF.md).
 
-Since the tiered-compilation upgrade (custom-op-resident blocks, batched
-OoO timing, superblock linking — docs/PERF.md) two more rows carry their
-own gates: naxriscv/vanilla must hold 1.5x (batched ``_time_block``) and
-cv32e40p/SLT must hold 2.0x (RTOSUnit custom ops riding inside blocks),
-each with a slow-ratio ceiling so predecode coverage can't silently
-erode back to the exact path. Remaining combinations are reported only.
+Since the tiered-compilation upgrade (custom-op-resident blocks, the
+cached cores' timing inside the executors, superblock linking —
+docs/PERF.md) two more rows carry their own gates: naxriscv/vanilla must
+hold 1.5x (its OoO window timed inline by the architectural executor)
+and cv32e40p/SLT must hold 2.0x (RTOSUnit custom ops riding inside
+blocks), each with a slow-ratio ceiling so predecode coverage can't
+silently erode back to the exact path. Remaining combinations are
+reported only.
 """
 
 import gc
@@ -54,8 +56,9 @@ MIN_HEADLINE_IPS = 100_000.0
 #: headline, since their gates sit closer to the measured values.
 TIER_REPEATS = 4
 #: Gated rows beyond the headline: (core, config) -> (speedup floor,
-#: slow-ratio ceiling). naxriscv exercises the batched OoO ``_time_block``
-#: tier; SLT exercises custom-op-resident blocks (docs/PERF.md).
+#: slow-ratio ceiling). naxriscv exercises the inline OoO window of the
+#: architectural executor; SLT exercises custom-op-resident blocks
+#: (docs/PERF.md).
 TIER_GATES = {
     ("naxriscv", "vanilla"): (1.5, 0.05),
     ("cv32e40p", "SLT"): (2.0, 0.05),

@@ -125,7 +125,8 @@ class BaseCore:
         self.config = config
         self.unit = unit
         self.params = params or self.PARAMS
-        self.timeline = unit.timeline if unit is not None else MemoryTimeline()
+        self.timeline = (unit.timeline if unit is not None
+                         else MemoryTimeline(consumed=False))
         needs_banking = config.store and not config.cv32rt
         self.banks: list[list[int]] = [[0] * 32]
         if needs_banking:

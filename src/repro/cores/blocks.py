@@ -10,8 +10,9 @@ Exactness contract (the whole point):
 
 * Architectural state, cycle counts, stats and error behaviour are
   byte-identical to the per-instruction path. The reference interpreter
-  (``BaseCore._exec`` / ``_time``) is left untouched and the differential
-  tests run both paths against each other.
+  (``BaseCore._exec``, the cores' ``_time`` and their ``_mem_time`` /
+  ``_branch_time`` hooks) is left untouched and the differential tests
+  run both paths against each other.
 * Anything a block cannot replay exactly stays on the exact path:
   ``mret``, ``wfi``, ``ecall``/``ebreak`` and ``fence`` are never
   predecoded (:data:`~repro.isa.instructions.SYNC_OPS`), and Zicsr ops
@@ -30,25 +31,30 @@ Exactness contract (the whole point):
   external event) — and bails out of block execution as soon as the
   cycle counter reaches it. In-block instructions cannot change the
   horizon silently: MMIO stores bail immediately, and horizon-writing
-  CSR/custom records either recompute it in place (in-order executor)
-  or end the block (architectural executor), so the exact path takes
-  the interrupt on precisely the same instruction boundary as before.
+  CSR/custom records recompute it in place, so the exact path takes the
+  interrupt on precisely the same instruction boundary as before.
 * Stores into cached code (self-modifying code) invalidate the decode
   and block caches and end the block; the same check runs on the slow
   path so both modes stay in lockstep.
 
-Two executor layers:
+Two executor layers, both timing every record inline with no Python
+call per record:
 
 * an *inlined in-order* loop for cores that keep ``BaseCore``'s timing
   (`CV32E40P`, `CVA6`) — operand indices, immediates and the in-order
-  issue/stall arithmetic are unrolled with hoisted locals, falling back
-  to virtual ``_mem_time`` / ``_branch_time`` calls only when a subclass
-  overrides them;
-* an *architectural* loop for cores that replace ``_time`` wholesale
-  (`NaxRiscv`) — the same inlined execute records, with timing either
-  batched into one ``core._time_block`` call per block (when a
-  conservative advance bound proves the bail cycle cannot be crossed)
-  or run per record through the core's own ``_time``.
+  issue/stall arithmetic are unrolled with hoisted locals; on CVA6 it
+  also runs the write-through, no-allocate D$ (with the uncached context
+  range and MMIO) and the bimodal predictor;
+* an *architectural* loop for `NaxRiscv` — the same inlined execute
+  records, timed with its dataflow window: front-end slots, operand
+  readiness, one LSU port over the write-back D$, the predictor and CSR
+  serialisation.
+
+Both take an MRU-way early-out on D$ hits and write the D$ hit and
+predictor counters back when the block exits. The timing model is
+picked from the core class when the engine is built
+(:func:`_timing_model`); a core that overrides a timing hook neither
+executor models is refused there rather than timed wrong.
 
 On top of both layers, hot blocks (:data:`SUPERBLOCK_HOT` clean
 completions) are chained with their dominant successors into
@@ -64,12 +70,16 @@ from __future__ import annotations
 import types
 
 from repro.cores.base import BaseCore, MASK32, _divrem, _sgn
-from repro.errors import ReproError
+from repro.cores.cva6 import CVA6
+from repro.cores.naxriscv import NaxRiscv
+from repro.cores.predictor import BimodalPredictor
+from repro.errors import ConfigurationError, ReproError
 from repro.isa.csr import (MIE, MIP_MEIP, MIP_MSIP, MIP_MTIP, MSTATUS,
                            MSTATUS_MIE)
 from repro.isa.custom import CustomOp
 from repro.isa.instructions import (BLOCK_TERMINATORS, CSR_OPS, FMT_CUSTOM,
                                     SYNC_OPS)
+from repro.mem.cache import CacheModel
 from repro.mem.memory import MMIO_ADDRS
 from repro.util import LRUCache
 
@@ -88,12 +98,8 @@ SUPERBLOCK_MAX_SEGMENTS = 8
 SUPERBLOCK_MAX_RECORDS = 512
 #: Bound on the slow-PC memo (same LRU recency policy as the decode cache).
 SLOW_PC_CAPACITY = 65536
-
-
-#: ``(mem_addr, is_store, taken)`` timing info handed to ``core._time``
-#: for a record with no memory access, and for a taken control transfer.
-_NO_MEM = (None, False, False)
-_JUMP = (None, False, True)
+#: Stand-in for an empty ``uncached_ranges``: a range no address is in.
+_NO_RANGE = ((0, 0),)
 
 # -- per-mnemonic operators, carried by execute records as ``fn`` ------------
 
@@ -179,8 +185,8 @@ K_LINK = 17
 #: Zicsr op resident in the block: ``fn`` is a prebuilt ``(rs1_value) ->
 #: old_csr_value`` closure applying the exact read/write/set/clear
 #: effects on the live ``csr.regs`` dict. ``imm`` is 1 when the op can
-#: write an interrupt-horizon input (mstatus/mie) — the block ends there
-#: with the cached horizon invalidated, exactly like an MMIO store.
+#: write an interrupt-horizon input (mstatus/mie) — the executor then
+#: resyncs the horizon in place and reports the cached one stale.
 K_CSR = 18
 
 #: CSR addresses whose writes feed ``_horizon`` / ``_maybe_take_interrupt``.
@@ -346,8 +352,8 @@ def _static_successor(block):
         return None
     if (kind == K_CSR or kind == K_CUSTOM) and imm:
         # Terminal CSR (mstatus/mie write) or terminal custom (context
-        # restore): execution always breaks out for the horizon resync,
-        # so chaining past it is dead weight.
+        # restore): the horizon resync makes every run report rc 3, so
+        # the trace is not extended past it.
         return None
     return (instr.addr + 4) & MASK32
 
@@ -377,6 +383,48 @@ def _monomorphic_executor(cls, fn):
     return clone
 
 
+def _timing_model(core) -> str:
+    """Name the timing model the block executors inline for *core*.
+
+    ``"inorder"``: ``BaseCore``'s in-order timing over single-cycle SRAM
+    (CV32E40P). ``"cached"``: the same with CVA6's write-through D$,
+    uncached ranges and predictor. ``"window"``: NaxRiscv's dataflow
+    window over its write-back D$. Each executor stands in for exactly
+    these hooks, so a core class overriding any of them (or a D$ or
+    predictor of another kind) would be timed wrong on the block path;
+    it gets a :class:`ConfigurationError` instead.
+    """
+    cls = type(core)
+    if (cls._exec is BaseCore._exec
+            and cls._step_normal is BaseCore._step_normal):
+        if cls._time is BaseCore._time:
+            if (cls._mem_time is BaseCore._mem_time
+                    and cls._branch_time is BaseCore._branch_time):
+                return "inorder"
+            if (cls._mem_time is CVA6._mem_time
+                    and cls._branch_time is CVA6._branch_time
+                    and getattr(cls, "_uncached", None) is CVA6._uncached
+                    and _standard_models(core)):
+                return "cached"
+        elif (cls._time is NaxRiscv._time
+                and getattr(cls, "_mem_latency", None)
+                is NaxRiscv._mem_latency
+                and getattr(cls, "_flush_front", None)
+                is NaxRiscv._flush_front
+                and _standard_models(core)):
+            return "window"
+    raise ConfigurationError(
+        f"{cls.__name__} overrides a timing hook that the block executors "
+        f"do not model, so block dispatch would time it wrong")
+
+
+def _standard_models(core) -> bool:
+    """True when *core*'s D$ and predictor are the stock models."""
+    return (type(core.dcache).lookup is CacheModel.lookup
+            and type(core.predictor).predict_and_update
+            is BimodalPredictor.predict_and_update)
+
+
 class BlockEngine:
     """PC-keyed block cache plus the two block executors for one core."""
 
@@ -403,52 +451,53 @@ class BlockEngine:
         self._custom_handlers = (unit.fast_custom_handlers()
                                  if unit is not None else None)
         cls = type(core)
-        #: True when the core keeps BaseCore's in-order timing engine and
-        #: reference executor, enabling the fully inlined loop. Any other
-        #: core runs the architectural loop and must define
-        #: ``_time_block`` (see NaxRiscv).
-        self._inorder = (cls._time is BaseCore._time
-                         and cls._exec is BaseCore._exec
-                         and cls._step_normal is BaseCore._step_normal)
-        self._base_mem = cls._mem_time is BaseCore._mem_time
-        self._base_branch = cls._branch_time is BaseCore._branch_time
+        model = _timing_model(core)
         params = core.params
+        lrl = params.load_result_latency
         # Static per-core state, unpacked into executor locals in one go
         # (tuple unpack beats a pile of attribute chains per block). All
-        # referenced objects are stable for the core's lifetime; per-run
-        # dynamic state (cycle, bank, dirty tracking, the timeline — the
-        # System rewires ``core.timeline`` after construction) is hoisted
-        # per call instead.
-        self._hoist = (
-            core.mem, core.mem.data, core.mem.size,
-            core.reg_avail, core.stats,
-            core._decode_cache, self.addr_map, MMIO_ADDRS,
-            self._base_mem, self._base_branch,
-            params.load_result_latency, params.branch_taken_penalty,
-            params.jump_penalty, params.mul_latency, params.div_cycles,
-            core.config.dirty, params.custom_commit_delay,
-            params.csr_cycles - 1,
-        )
-        exec_fn = (BlockEngine._exec_block_inorder if self._inorder
-                   else BlockEngine._exec_block_arch)
+        # referenced objects are stable for the core's lifetime (restores
+        # mutate them in place); per-run dynamic state (cycle, bank, dirty
+        # tracking, the timeline and CVA6's uncached range — the System
+        # sets both after construction) is read per call instead.
+        hoist = (core.mem, core.mem.data, core.mem.size, core.reg_avail,
+                 core.stats, core._decode_cache, self.addr_map, MMIO_ADDRS,
+                 core.config.dirty, params.custom_commit_delay)
+        if model != "inorder":
+            dcache = core.dcache
+            predictor = core.predictor
+            models = (dcache, dcache._lines, dcache.sets, dcache.line_bytes,
+                      dcache.lookup, predictor, predictor.counters,
+                      predictor.entries)
+        if model == "window":
+            # NaxRiscv._time and _mem_latency, constants folded.
+            self._hoist = hoist + models + (
+                params.issue_width, 1 + params.branch_mispredict_penalty,
+                lrl, params.mul_latency, params.div_cycles,
+                params.csr_cycles, params.cache_line_words,
+                params.cache_line_words // 2,
+                1 + params.cache_miss_penalty // 2,
+                lrl + params.cache_miss_penalty, lrl + 4)
+            exec_fn = BlockEngine._exec_block_arch
+        else:
+            self._hoist = hoist + (
+                model == "cached", lrl, params.branch_taken_penalty,
+                params.jump_penalty, params.mul_latency, params.div_cycles,
+                params.csr_cycles - 1)
+            if model == "cached":
+                # CVA6._mem_time and _branch_time, constants folded; the
+                # CV32E40P clone never unpacks it.
+                self._cache_hoist = models + (
+                    params.branch_mispredict_penalty,
+                    lrl + params.cache_miss_penalty, lrl + 1,
+                    params.cache_line_words)
+            exec_fn = BlockEngine._exec_block_inorder
         self._exec_block = _monomorphic_executor(cls, exec_fn).__get__(self)
         # The dispatch loop runs once per block and loads core attributes
         # just as often as the executors — clone it per class too (the
         # instance attribute shadows the class method for callers).
         self.dispatch = _monomorphic_executor(
             cls, BlockEngine.dispatch).__get__(self)
-        # Batched-timing admission bound for the architectural layer: a
-        # conservative per-record ceiling on how far ``core.cycle`` can
-        # advance, so a whole block can run with timing deferred to one
-        # ``_time_block`` call iff even the worst case cannot cross the
-        # bail cycle mid-block. Custom ops and MMIO always flush first.
-        self._adv_per = ((1 + params.branch_mispredict_penalty)
-                         + max(params.div_cycles,
-                               params.load_result_latency
-                               + params.cache_miss_penalty,
-                               params.mul_latency, params.csr_cycles,
-                               params.custom_commit_delay + 16, 2))
-        self._adv_base = 64
 
     # -- cache maintenance ---------------------------------------------------
 
@@ -514,13 +563,9 @@ class BlockEngine:
         core = self.core
         fetch = core._fetch
         custom_handlers = self._custom_handlers
-        # The in-order executor resyncs the interrupt horizon *inside*
-        # the record loop after a horizon-writing CSR/custom record, so
-        # its blocks run straight through them. The architectural
-        # executor cannot (its batched-timing admission bound must not
-        # span a context-restoring FSM op), so there they stay block
-        # terminators.
-        resync_inline = self._inorder
+        # Both executors resync the interrupt horizon *inside* the record
+        # loop after a horizon-writing CSR/custom record, so blocks run
+        # straight through them.
         records = []
         addrs = []
         addr = pc
@@ -532,12 +577,10 @@ class BlockEngine:
             m = instr.mnemonic
             if instr.fmt == FMT_CUSTOM:
                 # RTOSUnit custom ops: deterministic FSM interactions.
-                # Ops with a registered fast handler stay block-resident;
+                # Ops with a registered fast handler stay block-resident,
                 # horizon-writing ones (context restore into MSTATUS/MEPC)
-                # resync the horizon in place on the in-order executor
-                # and end the block on the architectural one. Ops that
-                # switch register banks end the block and run through the
-                # exact ``_step_custom``.
+                # included. Ops that switch register banks end the block
+                # and run through the exact ``_step_custom``.
                 if custom_handlers is None:
                     break
                 try:
@@ -550,8 +593,6 @@ class BlockEngine:
                     records.append((K_CUSTOM, instr.rd, instr.rs1,
                                     instr.rs2, terminal, instr, handler))
                     addrs.append(addr)
-                    if terminal and not resync_inline:
-                        break
                     addr = (addr + 4) & MASK32
                     continue
                 records.append((K_CUSTOM_BRK, instr.rd, instr.rs1,
@@ -562,16 +603,13 @@ class BlockEngine:
                 # Zicsr stays block-resident: CSRFile is a plain dict
                 # (reads and writes are hook-free), so effects predecode
                 # into a closure. Writes that can touch mstatus/mie —
-                # interrupt-horizon inputs — carry the terminal flag:
-                # inline horizon resync on the in-order executor, block
-                # end on the architectural one.
+                # interrupt-horizon inputs — carry the terminal flag,
+                # which resyncs the horizon inline.
                 rec = _classify_csr(instr, core.csr.regs)
                 if rec is None:
                     break
                 records.append(rec)
                 addrs.append(addr)
-                if rec[4] and not resync_inline:
-                    break
                 addr = (addr + 4) & MASK32
                 continue
             if m in SYNC_OPS:
@@ -644,8 +682,8 @@ class BlockEngine:
         CSR/custom record can change its inputs (``read_mmio`` is
         side-effect-free, and event-queue pops happen only in the
         exact-path poll), so it is recomputed only after an executor
-        reports one of those (rc = 3) — the in-order executor also
-        resyncs it in place mid-block to keep executing. Cache
+        reports one of those (rc = 3) — the executors also resync it in
+        place mid-block to keep executing. Cache
         probes use the raw dict lookup; LRU recency is refreshed only once
         the cache is actually full, when eviction order starts to matter.
         """
@@ -785,48 +823,64 @@ class BlockEngine:
 
     # -- executors -----------------------------------------------------------
 
-    def _exec_block_arch(self, block, bail, _limit=0):
-        """Inlined execute + batched or per-record ``_time`` (NaxRiscv).
+    def _exec_block_arch(self, block, bail, limit):
+        """Inlined execute and NaxRiscv's dataflow-window timing.
 
-        Architectural effects run exactly as in the in-order layer. When
-        the conservative advance bound proves the block cannot reach the
-        bail cycle, per-record timing is deferred: ``(instr, mem_addr,
-        is_store, taken)`` tuples accumulate and replay in one
-        ``core._time_block`` call. Deferring is unobservable because the
-        D$/predictor/timeline are timing-only state and load data comes
-        from the memory bytes — any point that *does* observe timing
-        (MMIO access, CSR or custom op, exception) flushes the pending
-        batch first so ``core.cycle`` is live. When the bound fails,
-        every record calls ``core._time`` directly with per-record bail
-        checks, exactly as before. Return codes: 0 = clean
-        completion (counts toward superblock promotion), 2 = early break
-        (bail / SMC / side exit), 3 = break that invalidates the cached
-        interrupt horizon (MMIO store, rescheduling custom op).
+        Architectural effects run exactly as in the in-order layer, and
+        each record is then timed inline exactly as ``NaxRiscv._time``
+        would time it. The record takes a front-end slot
+        (``issue_width`` per cycle) and issues once its operands are
+        ready. A memory op also waits for the single LSU port, which a
+        D$ hit holds for a cycle and a line refill for half a line. A
+        mispredicted branch or a ``jalr`` refills the front end, and a
+        CSR op serialises it. ``core.cycle`` is the in-order commit
+        front. The front, its free slots, the commit front, the LSU port
+        and the D$/predictor counters live in locals and are written
+        back on every exit path. ``next_issue`` follows from the front
+        and the last issue, except right after a CSR op (it is fixed
+        before the serialising flush) or a custom op (which sets cycle
+        and next issue outright): ``fix_at`` is the ``done`` count at
+        which ``fcycle``/``fnext`` were last set outright.
+
+        Horizon-writing records resync the horizon in place, and the
+        per-record ``cycle >= bail`` check lands the exact-path
+        interrupt poll on the same boundary, as in
+        :meth:`_exec_block_inorder`. A rescheduling custom op ends the
+        loop and runs through ``_step_custom`` once the locals are
+        written back. Return codes: 0 = clean completion (counts toward
+        superblock promotion), 2 = early break (bail / SMC / side exit),
+        3 = the cached interrupt horizon is stale (MMIO store,
+        rescheduling custom op, horizon write).
         """
         core = self.core
-        (mem, data, memsize, avail, stats, dcache, addr_map,
-         mmio, _base_mem, _base_branch, _ll, _tp, _jp, _ml, _dc,
-         config_dirty, custom_delay, _csr_pen) = self._hoist
+        (mem, data, memsize, avail, stats, decoded, addr_map, mmio,
+         config_dirty, custom_delay, dcache, lines, nsets, line_bytes,
+         lookup, predictor, counters, entries, width, redirect, load_lat,
+         mul_lat, div_cyc, csr_cyc, line_words, refill, store_miss,
+         load_miss, mmio_lat) = self._hoist
+        dget = dict.get
+        timeline = core.timeline
+        tl_append = timeline._busy.append
+        tl_scan = timeline._scan
+        tl_last = timeline._last_marked
+        tl_marks = 0
         bank = core.active_bank
         regs = core.banks[bank]
         track_dirty = bank == 0 and config_dirty
-        time_fn = core._time
-        records = block.records
-        batch = (core.cycle + self._adv_base
-                 + self._adv_per * len(records) < bail)
-        if batch:
-            time_block = core._time_block
-            pending = []
-            append = pending.append
-        else:
-            pending = None
-        loads = stores = branches = takenb = regw = customs = 0
-        dirty = done = 0
-        instr = None
+        front = core._front
+        slots = core._front_slots
+        commit = core._last_commit
+        lsu = core._lsu_next
+        fcycle = core.cycle
+        fnext = core.next_issue
+        fix_at = issue = 0
+        loads = stores = branches = takenb = regw = stall = customs = 0
+        dirty = done = hflip = hits = preds = mps = 0
+        instr = brk = None
         pc_set = False
         rc = 0
         try:
-            for rec in records:
+            for rec in block.records:
                 kind, rd, rs1, rs2, imm, instr, fn = rec
                 if kind == K_LINK:
                     # Superblock segment guard (needs the *previous*
@@ -854,86 +908,165 @@ class BlockEngine:
                         value = imm << 12
                     else:  # K_AUIPC
                         value = instr.addr + (imm << 12)
+                    if slots:
+                        slots -= 1
+                    else:
+                        front += 1
+                        slots = width - 1
+                    issue = front
+                    a = avail[rs1]
+                    if a > issue:
+                        issue = a
+                    a = avail[rs2]
+                    if a > issue:
+                        issue = a
+                    stall += issue - front
+                    complete = issue + 1
                     if rd:
                         regs[rd] = value & MASK32
                         regw += 1
                         if track_dirty:
                             dirty |= 1 << rd
-                    if batch:
-                        append((instr, None, False, False))
-                        done += 1
-                        continue
-                    time_fn(instr, _NO_MEM)
+                        avail[rd] = complete
                 elif kind == K_LW or kind == K_LBH:
                     if kind == K_LW:
                         size, sign_bit, sign_sub = 4, 0, 0
                     else:
                         size, sign_bit, sign_sub = fn
                     addr = (regs[rs1] + imm) & MASK32
-                    rare = (addr in mmio or addr % size
-                            or addr + size > memsize)
-                    if rare:
-                        if pending:
-                            time_block(pending)
-                            del pending[:]
-                        value = mem.read(addr, size)  # MMIO with the live
-                        #                               cycle; else raises
+                    io = addr in mmio
+                    if io or addr % size or addr + size > memsize:
+                        # MMIO reads the live cycle; anything else raises.
+                        core.cycle = fcycle if fix_at == done else commit
+                        value = mem.read(addr, size)
                     else:
                         value = int.from_bytes(data[addr:addr + size],
                                                "little")
                     if sign_bit and value & sign_bit:
                         value -= sign_sub
+                    loads += 1
+                    if slots:
+                        slots -= 1
+                    else:
+                        front += 1
+                        slots = width - 1
+                    issue = front
+                    a = avail[rs1]
+                    if a > issue:
+                        issue = a
+                    a = avail[rs2]
+                    if a > issue:
+                        issue = a
+                    stall += issue - front
+                    if lsu > issue:
+                        issue = lsu
+                    # The port is busy in the issue cycle (``mark_core_busy``
+                    # inlined as in the in-order executor).
+                    if issue > tl_last:
+                        tl_last = issue
+                    if tl_last >= tl_scan:
+                        tl_append(tl_last)
+                    tl_marks += 1
+                    if io:
+                        complete = issue + mmio_lat  # uncached MMIO
+                        lsu = issue + 2
+                    else:
+                        line = addr // line_bytes
+                        ways = dget(lines, line % nsets)
+                        if ways and ways[-1] == line:
+                            hits += 1  # MRU way: LRU order unchanged
+                            complete = issue + load_lat
+                            lsu = issue + 1
+                        elif lookup(addr, False):
+                            complete = issue + load_lat
+                            lsu = issue + 1
+                        else:
+                            # Line refill: one port beat per word.
+                            for beat in range(issue + 1, issue + line_words):
+                                if beat > tl_last:
+                                    tl_last = beat
+                                if tl_last >= tl_scan:
+                                    tl_append(tl_last)
+                            tl_marks += line_words - 1
+                            complete = issue + load_miss
+                            lsu = issue + refill
                     if rd:
                         regs[rd] = value & MASK32
                         regw += 1
                         if track_dirty:
                             dirty |= 1 << rd
-                    loads += 1
-                    if batch and not rare:
-                        append((instr, addr, False, False))
-                        done += 1
-                        continue
-                    time_fn(instr, (addr, False, False))
+                        avail[rd] = complete
                 elif kind == K_SW or kind == K_SBH:
                     size = 4 if kind == K_SW else fn
                     addr = (regs[rs1] + imm) & MASK32
-                    if addr in mmio:
-                        if pending:
-                            time_block(pending)
-                            del pending[:]
+                    io = addr in mmio
+                    if io:
+                        # halt/probe record the live cycle
+                        core.cycle = fcycle if fix_at == done else commit
                         mem.write(addr, regs[rs2], size)
-                        stores += 1
-                        time_fn(instr, (addr, True, False))
-                        done += 1
+                    else:
+                        if addr % size or addr + size > memsize:
+                            mem.write(addr, regs[rs2], size)  # raises exactly
+                        if size == 4:
+                            data[addr:addr + 4] = regs[rs2].to_bytes(
+                                4, "little")
+                        else:
+                            mask = (1 << (8 * size)) - 1
+                            data[addr:addr + size] = (
+                                regs[rs2] & mask).to_bytes(size, "little")
+                    stores += 1
+                    if slots:
+                        slots -= 1
+                    else:
+                        front += 1
+                        slots = width - 1
+                    issue = front
+                    a = avail[rs1]
+                    if a > issue:
+                        issue = a
+                    a = avail[rs2]
+                    if a > issue:
+                        issue = a
+                    stall += issue - front
+                    if lsu > issue:
+                        issue = lsu
+                    if issue > tl_last:
+                        tl_last = issue
+                    if tl_last >= tl_scan:
+                        tl_append(tl_last)
+                    tl_marks += 1
+                    if io:
+                        complete = issue + mmio_lat
+                        lsu = issue + 2
+                    else:
+                        line = addr // line_bytes
+                        ways = dget(lines, line % nsets)
+                        if ways and ways[-1] == line:
+                            hits += 1
+                            complete = lsu = issue + 1
+                        elif lookup(addr, True):
+                            complete = lsu = issue + 1
+                        else:
+                            for beat in range(issue + 1, issue + line_words):
+                                if beat > tl_last:
+                                    tl_last = beat
+                                if tl_last >= tl_scan:
+                                    tl_append(tl_last)
+                            tl_marks += line_words - 1
+                            complete = issue + store_miss
+                            lsu = issue + refill
+                    if complete > commit:
+                        commit = complete
+                    done += 1
+                    if io:
                         rc = 3
                         break  # halt/msip/mtimecmp may have changed
-                    if addr % size or addr + size > memsize:
-                        if pending:
-                            time_block(pending)
-                            del pending[:]
-                        mem.write(addr, regs[rs2], size)  # raises exactly
-                    if size == 4:
-                        data[addr:addr + 4] = regs[rs2].to_bytes(4, "little")
-                    else:
-                        mask = (1 << (8 * size)) - 1
-                        data[addr:addr + size] = (regs[rs2] & mask).to_bytes(
-                            size, "little")
-                    stores += 1
-                    done += 1
                     word = addr & _WORD
-                    if batch:
-                        append((instr, addr, True, False))
-                        if word in dcache or word in addr_map:
-                            core.invalidate_code(word)  # self-modifying
-                            rc = 2
-                            break
-                        continue
-                    time_fn(instr, (addr, True, False))
-                    if word in dcache or word in addr_map:
+                    if word in decoded or word in addr_map:
                         core.invalidate_code(word)  # self-modifying store
                         rc = 2
                         break
-                    if core.cycle >= bail:
+                    if commit >= bail:
                         rc = 2
                         break
                     continue
@@ -944,96 +1077,148 @@ class BlockEngine:
                         takenb += 1
                         core.pc = (instr.addr + imm) & MASK32
                         pc_set = True
-                        if batch:
-                            append((instr, None, False, True))
-                            done += 1
-                            continue
-                        time_fn(instr, _JUMP)  # (None, False, taken=True)
+                    if slots:
+                        slots -= 1
                     else:
-                        if batch:
-                            append((instr, None, False, False))
-                            done += 1
-                            continue
-                        time_fn(instr, _NO_MEM)
-                elif kind == K_JAL or kind == K_JALR:
-                    if kind == K_JALR:
-                        target = (regs[rs1] + imm) & MASK32 & ~1
-                    else:
-                        target = (instr.addr + imm) & MASK32
-                    if rd:
-                        regs[rd] = (instr.addr + 4) & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                    core.pc = target
-                    pc_set = True
-                    if batch:
-                        append((instr, None, False, True))
-                        done += 1
-                        continue
-                    time_fn(instr, _JUMP)
-                elif kind == K_MUL or kind == K_DIV:
-                    value = fn(regs[rs1], regs[rs2])
-                    if rd:
-                        regs[rd] = value & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                    if batch:
-                        append((instr, None, False, False))
-                        done += 1
-                        continue
-                    time_fn(instr, _NO_MEM)
-                elif kind == K_CSR:
-                    # Zicsr: never batched — the core's ``_time`` may
-                    # serialise the window (NaxRiscv), which the batch
-                    # replay does not model. Flush, then time per record.
-                    if pending:
-                        time_block(pending)
-                        del pending[:]
-                    old = fn(regs[rs1])
-                    if rd:
-                        regs[rd] = old
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                    time_fn(instr, _NO_MEM)
-                    done += 1
-                    if imm:
-                        # mstatus/mie write: interrupts may have been
-                        # enabled or masked — resync the horizon.
-                        rc = 3
-                        break
-                    if core.cycle >= bail:
-                        rc = 2
-                        break
-                    continue
-                elif kind == K_CUSTOM or kind == K_CUSTOM_BRK:
-                    if pending:
-                        time_block(pending)
-                        del pending[:]
-                    if kind == K_CUSTOM_BRK:
-                        # May reschedule (bank switch / context restore):
-                        # run the exact path and end the block.
-                        core.pc = instr.addr
-                        core._step_custom(instr)
-                        pc_set = True
-                        done += 1
-                        rc = 3
-                        break
-                    # Block-resident: same issue/commit arithmetic as
-                    # ``_step_custom``, effects via the per-op handler.
-                    issue = core.next_issue
+                        front += 1
+                        slots = width - 1
+                    issue = front
                     a = avail[rs1]
                     if a > issue:
                         issue = a
                     a = avail[rs2]
                     if a > issue:
                         issue = a
-                    issue += custom_delay
-                    rdv, complete = fn(regs[rs1], regs[rs2], issue)
-                    if complete < issue:
-                        complete = issue
+                    stall += issue - front
+                    # Bimodal predictor, as ``predict_and_update``.
+                    index = (instr.addr >> 2) % entries
+                    counter = dget(counters, index, 1)
+                    if taken:
+                        counters[index] = counter + 1 if counter < 3 else 3
+                        miss = counter < 2
+                    else:
+                        counters[index] = counter - 1 if counter else 0
+                        miss = counter > 1
+                    preds += 1
+                    if miss:
+                        mps += 1
+                        c = issue + redirect  # front-end refill
+                        if c > front:
+                            front = c
+                            slots = width
+                    complete = issue + 1
+                elif kind == K_JAL or kind == K_JALR:
+                    if kind == K_JALR:
+                        target = (regs[rs1] + imm) & MASK32 & ~1
+                    else:
+                        target = (instr.addr + imm) & MASK32
+                    if slots:
+                        slots -= 1
+                    else:
+                        front += 1
+                        slots = width - 1
+                    issue = front
+                    a = avail[rs1]
+                    if a > issue:
+                        issue = a
+                    a = avail[rs2]
+                    if a > issue:
+                        issue = a
+                    stall += issue - front
+                    complete = issue + 1
+                    if rd:
+                        regs[rd] = (instr.addr + 4) & MASK32
+                        regw += 1
+                        if track_dirty:
+                            dirty |= 1 << rd
+                        avail[rd] = complete
+                    if kind == K_JALR:
+                        # The indirect target resolves at issue.
+                        c = issue + 2
+                        if c > front:
+                            front = c
+                            slots = width
+                    core.pc = target
+                    pc_set = True
+                elif kind == K_MUL or kind == K_DIV:
+                    value = fn(regs[rs1], regs[rs2])
+                    if slots:
+                        slots -= 1
+                    else:
+                        front += 1
+                        slots = width - 1
+                    issue = front
+                    a = avail[rs1]
+                    if a > issue:
+                        issue = a
+                    a = avail[rs2]
+                    if a > issue:
+                        issue = a
+                    stall += issue - front
+                    complete = issue + (mul_lat if kind == K_MUL else div_cyc)
+                    if rd:
+                        regs[rd] = value & MASK32
+                        regw += 1
+                        if track_dirty:
+                            dirty |= 1 << rd
+                        avail[rd] = complete
+                elif kind == K_CSR:
+                    old = fn(regs[rs1])
+                    if slots:
+                        slots -= 1
+                    else:
+                        front += 1
+                        slots = width - 1
+                    issue = front
+                    a = avail[rs1]
+                    if a > issue:
+                        issue = a
+                    a = avail[rs2]
+                    if a > issue:
+                        issue = a
+                    stall += issue - front
+                    complete = issue + csr_cyc
+                    if rd:
+                        regs[rd] = old
+                        regw += 1
+                        if track_dirty:
+                            dirty |= 1 << rd
+                        avail[rd] = complete
+                    if complete > commit:
+                        commit = complete
+                    # ``next_issue`` is taken before the serialising flush.
+                    fcycle = commit
+                    fnext = front if front > issue + 1 else issue + 1
+                    fix_at = done + 1
+                    if complete > front:
+                        front = complete
+                        slots = width
+                    if imm:
+                        # mstatus/mie write: interrupts may have been
+                        # enabled or masked — resync the horizon in
+                        # place and keep going under the new bail.
+                        hflip = 1
+                        core.cycle = commit
+                        h = self._horizon()
+                        bail = h if h < limit else limit
+                elif kind == K_CUSTOM:
+                    # Block-resident: same issue/commit arithmetic as
+                    # ``_step_custom``, effects via the per-op handler.
+                    # Custom ops take no front-end slot.
+                    if fix_at == done:
+                        c = fnext
+                    else:
+                        c = front if front > issue + 1 else issue + 1
+                    a = avail[rs1]
+                    if a > c:
+                        c = a
+                    a = avail[rs2]
+                    if a > c:
+                        c = a
+                    c += custom_delay
+                    rdv, complete = fn(regs[rs1], regs[rs2], c)
+                    if complete < c:
+                        complete = c
                     if rd:
                         regs[rd] = rdv & MASK32
                         regw += 1
@@ -1041,48 +1226,85 @@ class BlockEngine:
                             dirty |= 1 << rd
                         avail[rd] = complete + 1
                     customs += 1
-                    core.cycle = complete
-                    core.next_issue = complete + 1
+                    tl_scan = timeline._scan  # the FSMs may have consumed
                     done += 1
+                    fcycle = complete
+                    fnext = complete + 1
+                    fix_at = done
                     if imm:
-                        # Terminal: restored MSTATUS/MEPC — resync the
-                        # cached interrupt horizon.
-                        rc = 3
-                        break
-                    if core.cycle >= bail:
+                        # Restored MSTATUS/MEPC — resync the horizon in
+                        # place and keep going under the new bail.
+                        hflip = 1
+                        core.cycle = complete
+                        h = self._horizon()
+                        bail = h if h < limit else limit
+                    if complete >= bail:
                         rc = 2
                         break
                     continue
+                else:  # K_CUSTOM_BRK
+                    brk = instr
+                    break
+                if complete > commit:
+                    commit = complete
                 done += 1
-                if core.cycle >= bail:
+                if commit >= bail:
                     rc = 2
                     break
         except BaseException:
             # Exact-path contract: a faulting instruction leaves pc at its
-            # own address. Every raise point flushes ``pending`` first, so
-            # the batch only ever holds fully-retired records.
+            # own address and the cycle at the previous completion.
             if instr is not None:
                 core.pc = instr.addr
             raise
         finally:
-            if pending:
-                core._time_block(pending)
+            if fix_at == done:
+                core.cycle = fcycle
+                core.next_issue = fnext
+            else:
+                core.cycle = commit
+                core.next_issue = front if front > issue + 1 else issue + 1
+            core._front = front
+            core._front_slots = slots
+            core._last_commit = commit
+            core._lsu_next = lsu
+            if tl_marks:
+                timeline._last_marked = tl_last
+                timeline.core_cycles += tl_marks
+            if hits:
+                dcache.hits += hits
+            if preds:
+                predictor.predictions += preds
+                if mps:
+                    predictor.mispredictions += mps
+                    stats.mispredicts += mps
+            if hflip:
+                rc = 3
             stats.instret += done
             stats.loads += loads
             stats.stores += stores
             stats.branches += branches
             stats.taken_branches += takenb
             stats.reg_writes += regw
+            stats.stall_cycles += stall
             if customs:
                 stats.custom_ops += customs
             if dirty:
                 core.dirty_mask |= dirty
             self.fast_instret += done
+        if brk is not None:
+            # May reschedule (bank switch / context restore): run the
+            # exact path on the synced core; it ends the block.
+            core.pc = brk.addr
+            core._step_custom(brk)
+            stats.instret += 1
+            self.fast_instret += 1
+            return 3
         if not pc_set:
             core.pc = (instr.addr + 4) & MASK32
         return rc
 
-    def _exec_block_inorder(self, block, bail, limit=0):
+    def _exec_block_inorder(self, block, bail, limit):
         """Fully inlined loop for cores on BaseCore's in-order timing.
 
         Hot state (cycle, next_issue, stat deltas, the active register
@@ -1091,9 +1313,16 @@ class BlockEngine:
         probe records read it). The bank cannot change inside a block
         (traps/mret and rescheduling custom ops are never predecoded;
         block-resident custom ops never switch banks), so hoisting
-        ``regs`` once per block is exact. Horizon-writing records
-        (mstatus/mie CSR writes, context-restoring custom ops) do not
-        end the block here: they recompute the horizon in place —
+        ``regs`` once per block is exact. On CVA6 (``cached``) the
+        memory and branch arms also inline its ``_mem_time`` and
+        ``_branch_time``: MMIO and the uncached context range cost one
+        bus beat, loads probe the write-through, no-allocate D$ (a miss
+        refills a line over the bus), every store takes a bus beat and
+        refreshes a D$ hit, and branches train the bimodal predictor;
+        the D$ hit and predictor counters are written back at exit.
+        Horizon-writing records (mstatus/mie CSR writes,
+        context-restoring custom ops) do not end the block here: they
+        recompute the horizon in place —
         ``self._horizon()`` is side-effect-free — clamp ``bail`` to
         ``limit`` (the caller's cycle ceiling), and keep executing; the
         per-record ``cycle >= bail`` check then lands the exact-path
@@ -1104,17 +1333,23 @@ class BlockEngine:
         interrupt horizon.
         """
         core = self.core
-        (mem, data, memsize, avail, stats, dcache, addr_map,
-         mmio, base_mem, base_branch, load_lat, taken_pen, jump_pen,
-         mul_lat, div_cyc, config_dirty, custom_delay,
-         csr_pen) = self._hoist
+        (mem, data, memsize, avail, stats, decoded, addr_map, mmio,
+         config_dirty, custom_delay, cached, load_lat, taken_pen, jump_pen,
+         mul_lat, div_cyc, csr_pen) = self._hoist
+        if cached:
+            (dcache, lines, nsets, line_bytes, lookup, predictor, counters,
+             entries, mp_pen, miss_lat, unc_lat,
+             line_words) = self._cache_hoist
+            # The System adds CVA6's one uncached range (the context
+            # region) after the engine is built, so it is read per block.
+            (unc_lo, unc_hi), = core.uncached_ranges or _NO_RANGE
+            dget = dict.get
+            hits = preds = mps = 0
         # ``mark_core_busy`` inlined: the busy queue appends eagerly while
-        # the scan fence and last-mark clamp stay in locals. The hoisted
-        # fence may go stale when a resident custom handler consumes free
-        # cycles mid-block — that only appends already-consumed marks,
-        # which ``consume_free`` pops as stale and ``capture_state``
-        # filters, so semantics are unchanged. ``_last_marked`` is only
-        # ever touched by marking, so the local copy is authoritative.
+        # the scan fence and last-mark clamp stay in locals. The fence is
+        # reread after a resident custom handler, whose FSMs may consume
+        # free cycles. ``_last_marked`` is only ever touched by marking,
+        # so the local copy is authoritative.
         timeline = core.timeline
         tl_append = timeline._busy.append
         tl_scan = timeline._scan
@@ -1199,7 +1434,35 @@ class BlockEngine:
                     if a > issue:
                         issue = a
                     stall += issue - next_issue
-                    if base_mem:
+                    if cached:
+                        if addr in mmio or unc_lo <= addr < unc_hi:
+                            # Uncached: one bus beat.
+                            if issue >= tl_last:
+                                tl_last = issue
+                            if tl_last >= tl_scan:
+                                tl_append(tl_last)
+                            tl_marks += 1
+                            rlat = unc_lat
+                        else:
+                            line = addr // line_bytes
+                            ways = dget(lines, line % nsets)
+                            if ways and ways[-1] == line:
+                                hits += 1  # MRU way: LRU order unchanged
+                                rlat = load_lat
+                            elif lookup(addr, False):
+                                rlat = load_lat
+                            else:
+                                # The refill holds the bus for a line.
+                                for beat in range(issue, issue + line_words):
+                                    if beat > tl_last:
+                                        tl_last = beat
+                                    if tl_last >= tl_scan:
+                                        tl_append(tl_last)
+                                tl_marks += line_words
+                                rlat = miss_lat
+                        if rd:
+                            avail[rd] = issue + rlat
+                    else:
                         if issue >= tl_last:
                             tl_last = issue
                         if tl_last >= tl_scan:
@@ -1207,13 +1470,8 @@ class BlockEngine:
                         tl_marks += 1
                         if rd:
                             avail[rd] = issue + load_lat
-                        cycle = issue
-                    else:
-                        pen, rlat = core._mem_time(addr, False, issue)
-                        if rd:
-                            avail[rd] = issue + rlat
-                        cycle = issue + pen
-                    next_issue = cycle + 1
+                    cycle = issue
+                    next_issue = issue + 1
                 elif kind == K_SW:
                     addr = (regs[rs1] + imm) & MASK32
                     if addr in mmio:
@@ -1228,17 +1486,14 @@ class BlockEngine:
                         if a > issue:
                             issue = a
                         stall += issue - next_issue
-                        if base_mem:
-                            if issue >= tl_last:
-                                tl_last = issue
-                            if tl_last >= tl_scan:
-                                tl_append(tl_last)
-                            tl_marks += 1
-                            cycle = issue
-                        else:
-                            pen, _rlat = core._mem_time(addr, True, issue)
-                            cycle = issue + pen
-                        next_issue = cycle + 1
+                        # MMIO is uncached on every core: one bus beat.
+                        if issue >= tl_last:
+                            tl_last = issue
+                        if tl_last >= tl_scan:
+                            tl_append(tl_last)
+                        tl_marks += 1
+                        cycle = issue
+                        next_issue = issue + 1
                         done += 1
                         rc = 3
                         break  # halt/msip/mtimecmp may have changed
@@ -1254,20 +1509,25 @@ class BlockEngine:
                     if a > issue:
                         issue = a
                     stall += issue - next_issue
-                    if base_mem:
-                        if issue >= tl_last:
-                            tl_last = issue
-                        if tl_last >= tl_scan:
-                            tl_append(tl_last)
-                        tl_marks += 1
-                        cycle = issue
-                    else:
-                        pen, _rlat = core._mem_time(addr, True, issue)
-                        cycle = issue + pen
-                    next_issue = cycle + 1
+                    if cached and not unc_lo <= addr < unc_hi:
+                        # Write-through, no allocate: only a hit moves
+                        # the D$; the bus beat below is paid either way.
+                        line = addr // line_bytes
+                        ways = dget(lines, line % nsets)
+                        if ways and ways[-1] == line:
+                            hits += 1
+                        else:
+                            lookup(addr, True)
+                    if issue >= tl_last:
+                        tl_last = issue
+                    if tl_last >= tl_scan:
+                        tl_append(tl_last)
+                    tl_marks += 1
+                    cycle = issue
+                    next_issue = issue + 1
                     done += 1
                     word = addr & _WORD
-                    if word in dcache or word in addr_map:
+                    if word in decoded or word in addr_map:
                         core.invalidate_code(word)  # self-modifying store
                         rc = 2
                         break
@@ -1290,10 +1550,24 @@ class BlockEngine:
                     if a > issue:
                         issue = a
                     stall += issue - next_issue
-                    if base_branch:
-                        cycle = issue + (taken_pen if taken else 0)
+                    if cached:
+                        # Bimodal predictor, as ``predict_and_update``.
+                        index = (instr.addr >> 2) % entries
+                        counter = dget(counters, index, 1)
+                        if taken:
+                            counters[index] = counter + 1 if counter < 3 else 3
+                            miss = counter < 2
+                        else:
+                            counters[index] = counter - 1 if counter else 0
+                            miss = counter > 1
+                        preds += 1
+                        if miss:
+                            mps += 1
+                            cycle = issue + mp_pen
+                        else:
+                            cycle = issue
                     else:
-                        cycle = issue + core._branch_time(instr, taken)
+                        cycle = issue + (taken_pen if taken else 0)
                     next_issue = cycle + 1
                 elif kind == K_JAL:
                     issue = next_issue
@@ -1361,7 +1635,33 @@ class BlockEngine:
                     if a > issue:
                         issue = a
                     stall += issue - next_issue
-                    if base_mem:
+                    if cached:
+                        if addr in mmio or unc_lo <= addr < unc_hi:
+                            if issue >= tl_last:
+                                tl_last = issue
+                            if tl_last >= tl_scan:
+                                tl_append(tl_last)
+                            tl_marks += 1
+                            rlat = unc_lat
+                        else:
+                            line = addr // line_bytes
+                            ways = dget(lines, line % nsets)
+                            if ways and ways[-1] == line:
+                                hits += 1
+                                rlat = load_lat
+                            elif lookup(addr, False):
+                                rlat = load_lat
+                            else:
+                                for beat in range(issue, issue + line_words):
+                                    if beat > tl_last:
+                                        tl_last = beat
+                                    if tl_last >= tl_scan:
+                                        tl_append(tl_last)
+                                tl_marks += line_words
+                                rlat = miss_lat
+                        if rd:
+                            avail[rd] = issue + rlat
+                    else:
                         if issue >= tl_last:
                             tl_last = issue
                         if tl_last >= tl_scan:
@@ -1369,13 +1669,8 @@ class BlockEngine:
                         tl_marks += 1
                         if rd:
                             avail[rd] = issue + load_lat
-                        cycle = issue
-                    else:
-                        pen, rlat = core._mem_time(addr, False, issue)
-                        if rd:
-                            avail[rd] = issue + rlat
-                        cycle = issue + pen
-                    next_issue = cycle + 1
+                    cycle = issue
+                    next_issue = issue + 1
                 elif kind == K_SBH:
                     size = fn
                     addr = (regs[rs1] + imm) & MASK32
@@ -1391,17 +1686,13 @@ class BlockEngine:
                         if a > issue:
                             issue = a
                         stall += issue - next_issue
-                        if base_mem:
-                            if issue >= tl_last:
-                                tl_last = issue
-                            if tl_last >= tl_scan:
-                                tl_append(tl_last)
-                            tl_marks += 1
-                            cycle = issue
-                        else:
-                            pen, _rlat = core._mem_time(addr, True, issue)
-                            cycle = issue + pen
-                        next_issue = cycle + 1
+                        if issue >= tl_last:
+                            tl_last = issue
+                        if tl_last >= tl_scan:
+                            tl_append(tl_last)
+                        tl_marks += 1
+                        cycle = issue
+                        next_issue = issue + 1
                         done += 1
                         rc = 3
                         break
@@ -1419,20 +1710,23 @@ class BlockEngine:
                     if a > issue:
                         issue = a
                     stall += issue - next_issue
-                    if base_mem:
-                        if issue >= tl_last:
-                            tl_last = issue
-                        if tl_last >= tl_scan:
-                            tl_append(tl_last)
-                        tl_marks += 1
-                        cycle = issue
-                    else:
-                        pen, _rlat = core._mem_time(addr, True, issue)
-                        cycle = issue + pen
-                    next_issue = cycle + 1
+                    if cached and not unc_lo <= addr < unc_hi:
+                        line = addr // line_bytes
+                        ways = dget(lines, line % nsets)
+                        if ways and ways[-1] == line:
+                            hits += 1
+                        else:
+                            lookup(addr, True)
+                    if issue >= tl_last:
+                        tl_last = issue
+                    if tl_last >= tl_scan:
+                        tl_append(tl_last)
+                    tl_marks += 1
+                    cycle = issue
+                    next_issue = issue + 1
                     done += 1
                     word = addr & _WORD
-                    if word in dcache or word in addr_map:
+                    if word in decoded or word in addr_map:
                         core.invalidate_code(word)
                         rc = 2
                         break
@@ -1539,6 +1833,7 @@ class BlockEngine:
                             dirty |= 1 << rd
                         avail[rd] = complete + 1
                     customs += 1
+                    tl_scan = timeline._scan  # the FSMs may have consumed
                     cycle = complete
                     next_issue = complete + 1
                     if imm:
@@ -1564,6 +1859,14 @@ class BlockEngine:
             if tl_marks:
                 timeline._last_marked = tl_last
                 timeline.core_cycles += tl_marks
+            if cached:
+                if hits:
+                    dcache.hits += hits
+                if preds:
+                    predictor.predictions += preds
+                    if mps:
+                        predictor.mispredictions += mps
+                        stats.mispredicts += mps
             if hflip:
                 # A horizon-writing record ran: dispatch's cached
                 # horizon is stale whichever way the block ended (and

@@ -6,6 +6,12 @@ architectural state directly. The D$ is write-through; the paper
 arbitrates RTOSUnit memory at the *bus level* to reduce jitter, meaning
 RTOSUnit words always cost a bus access, while the core's cache *hits*
 leave the bus free.
+
+``_mem_time`` and ``_branch_time`` are the reference model: the exact
+path calls them per instruction, and the block engine's in-order
+executor (:mod:`repro.cores.blocks`) runs the same D$, uncached-range
+and predictor logic inline. The on/off differential tests compare the
+two, D$ and predictor state included.
 """
 
 from __future__ import annotations
@@ -40,10 +46,12 @@ class CVA6(BaseCore):
     ARBITRATION = "bus"
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # Built before ``BaseCore.__init__``, whose block engine hoists
+        # both into its in-order executor.
         self.dcache = WriteThroughCache(size_bytes=8 * 1024, ways=4,
                                         line_bytes=32)
         self.predictor = BimodalPredictor(entries=128)
+        super().__init__(*args, **kwargs)
 
     def capture_state(self) -> dict:
         state = super().capture_state()
@@ -81,9 +89,7 @@ class CVA6(BaseCore):
         return any(lo <= addr < hi for lo, hi in self.uncached_ranges)
 
     def _branch_time(self, instr: Instr, taken: bool) -> int:
-        correct = self.predictor.predict_and_update(instr.addr, taken)
-        if correct:
-            self.stats.taken_branches += 0  # counted in _exec already
+        if self.predictor.predict_and_update(instr.addr, taken):
             return 0
         self.stats.mispredicts += 1
         return self.params.branch_mispredict_penalty

@@ -13,6 +13,12 @@ The RTOSUnit shares the write-back data cache through the extended LSU
 and a line refill on a miss — no cache invalidation needed, and contexts
 stay cacheable. The CV32RT comparison point instead bypasses the cache
 with a dedicated port and must invalidate the snapshot lines (§6).
+
+``_time`` (with ``_mem_latency`` and ``_flush_front``) is the reference
+model: the exact path calls it per instruction, and the block engine's
+architectural executor (:mod:`repro.cores.blocks`) runs the same window
+inline, record by record, with the window state held in locals. The
+on/off differential tests compare the two, window state included.
 """
 
 from __future__ import annotations
@@ -54,10 +60,12 @@ class NaxRiscv(BaseCore):
     RTOSUNIT_FLAT_WORD_COST = False
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # Built before ``BaseCore.__init__``, whose block engine hoists
+        # both into its architectural executor.
         self.dcache = WriteBackCache(size_bytes=16 * 1024, ways=4,
                                      line_bytes=32)
         self.predictor = BimodalPredictor(entries=512)
+        super().__init__(*args, **kwargs)
         self._front = 1          # cycle the front end can deliver into
         self._front_slots = self.params.issue_width
         self._last_commit = 0
@@ -130,101 +138,6 @@ class NaxRiscv(BaseCore):
         self.next_issue = max(self._front, issue + 1)
         if serialize_after is not None:
             self._flush_front(serialize_after)
-
-    def _time_block(self, items) -> None:
-        """Batched :meth:`_time` over one block's deferred records.
-
-        Bit-identical to calling ``_time`` per record (the differential
-        suite asserts it): the dataflow window, commit front and LSU port
-        state are hoisted into locals, advanced across the whole run, and
-        written back once. The block executor never defers MMIO accesses,
-        custom ops or CSR records, so those arms are omitted here — MMIO
-        flushes the batch and times per record, and CSR records flush the
-        batch before timing through ``_time`` (which serialises the
-        window — behaviour the batch replay deliberately omits).
-        """
-        if not items:
-            return
-        params = self.params
-        width = params.issue_width
-        redirect = 1 + params.branch_mispredict_penalty
-        lrl = params.load_result_latency
-        mul_lat = params.mul_latency
-        div_cyc = params.div_cycles
-        line_words = params.cache_line_words
-        refill_occ = line_words // 2
-        store_miss = 1 + params.cache_miss_penalty // 2
-        load_miss = lrl + params.cache_miss_penalty
-        avail = self.reg_avail
-        predict = self.predictor.predict_and_update
-        lookup = self.dcache.lookup
-        mark_busy = self.timeline.mark_core_busy
-        front = self._front
-        slots = self._front_slots
-        commit = self._last_commit
-        lsu = self._lsu_next
-        stall = 0
-        mispredicts = 0
-        issue = 0
-        for instr, mem_addr, is_store, taken in items:
-            if slots == 0:
-                front += 1
-                slots = width
-            slots -= 1
-            issue = front
-            a = avail[instr.rs1]
-            if a > issue:
-                issue = a
-            a = avail[instr.rs2]
-            if a > issue:
-                issue = a
-            stall += issue - front
-            latency = 1
-            if mem_addr is not None:
-                if lsu > issue:
-                    issue = lsu
-                if lookup(mem_addr, is_store):
-                    mark_busy(issue)
-                    if not is_store:
-                        latency = lrl
-                    lsu = issue + 1
-                else:
-                    for beat in range(line_words):
-                        mark_busy(issue + beat)
-                    latency = store_miss if is_store else load_miss
-                    lsu = issue + refill_occ
-            elif instr.fmt == "B":
-                if not predict(instr.addr, taken):
-                    mispredicts += 1
-                    c = issue + redirect
-                    if c > front:
-                        front = c
-                        slots = width
-            else:
-                m = instr.mnemonic
-                if m == "jalr":
-                    c = issue + 2
-                    if c > front:
-                        front = c
-                        slots = width
-                elif m in ("mul", "mulh", "mulhsu", "mulhu"):
-                    latency = mul_lat
-                elif m in ("div", "divu", "rem", "remu"):
-                    latency = div_cyc
-            complete = issue + latency
-            if instr.rd:
-                avail[instr.rd] = complete
-            if complete > commit:
-                commit = complete
-        self._front = front
-        self._front_slots = slots
-        self._last_commit = commit
-        self._lsu_next = lsu
-        self.cycle = commit
-        self.next_issue = front if front > issue + 1 else issue + 1
-        self.stats.stall_cycles += stall
-        if mispredicts:
-            self.stats.mispredicts += mispredicts
 
     def _flush_front(self, cycle: int) -> None:
         if cycle > self._front:

@@ -58,7 +58,9 @@ class System:
         self.layout = layout or MemoryLayout()
         self.memory = Memory(size=mem_size)
         self.memory.clint = self  # MMIO router
-        self.timeline = MemoryTimeline()
+        # Only the RTOSUnit consumes port marks: without one, the
+        # timeline counts the core's accesses but queues none of them.
+        self.timeline = MemoryTimeline(consumed=not config.is_vanilla)
         region = self.layout.context_region
         self.unit: RTOSUnit | None = None
         if not config.is_vanilla:
@@ -147,10 +149,7 @@ class System:
             mem_size=self.memory.size,
             memory_image=self.memory.capture_image(),
             core_state=self.core.capture_state(),
-            # With no RTOSUnit nothing ever consumes the timeline's busy
-            # set — skip it rather than checkpoint a write-only deque.
-            timeline_state=self.timeline.capture_state(
-                include_busy=self.unit is not None),
+            timeline_state=self.timeline.capture_state(),
             clint_state=self.clint.capture_state(),
             unit_state=(self.unit.capture_state()
                         if self.unit is not None else None),

@@ -42,9 +42,21 @@ class CacheModel:
         return line % self.sets, line
 
     def lookup(self, addr: int, is_write: bool) -> bool:
-        """Access *addr*; return True on hit. Allocates per policy."""
-        index, line = self._set_index(addr)
-        ways = self._lines.setdefault(index, [])
+        """Access *addr*; return True on hit. Allocates per policy.
+
+        A hit on the set's most-recently-used way (the back of its list)
+        leaves the LRU order as it is, so it returns before any list
+        surgery. The block executors inline the same early-out and call
+        here for everything else.
+        """
+        line = addr // self.line_bytes
+        index = line % self.sets
+        ways = self._lines.get(index)
+        if ways and ways[-1] == line:
+            self.hits += 1
+            return True
+        if ways is None:
+            ways = self._lines[index] = []
         if line in ways:
             ways.remove(line)
             ways.append(line)  # most-recently used at the back

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 
+_INF = float("inf")
+
 
 class MemoryTimeline:
     """Tracks core-busy cycles and hands free cycles to the RTOSUnit.
@@ -26,9 +28,13 @@ class MemoryTimeline:
     non-decreasing order too, so a single forward scan suffices.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, consumed: bool = True) -> None:
         self._busy: deque[int] = deque()
-        self._scan = 0  # next cycle the RTOSUnit may consider
+        #: Next cycle the RTOSUnit may consider. A timeline that nothing
+        #: consumes (a system without an RTOSUnit) keeps this fence at
+        #: infinity, so its marks are counted but never queued.
+        self._consumed = consumed
+        self._scan = 0 if consumed else _INF
         self._last_marked = -1
         self.core_cycles = 0
         self.unit_cycles = 0
@@ -121,18 +127,14 @@ class MemoryTimeline:
         self._scan = cycle
         return None if remaining else cycle - 1
 
-    def capture_state(self, include_busy: bool = True) -> tuple:
+    def capture_state(self) -> tuple:
         """Snapshot the port bookkeeping (repro.snapshot).
 
-        ``include_busy=False`` drops the busy queue: valid when no
-        RTOSUnit exists to consume it (vanilla systems append but never
-        read, and the queue grows with every memory access). With a
-        consumer present only the live tail (``>= _scan``) is kept —
+        Only the live tail of the busy queue (``>= _scan``) is kept —
         entries below the scan point are popped unread by
         ``consume_free`` anyway.
         """
-        busy = (tuple(c for c in self._busy if c >= self._scan)
-                if include_busy else ())
+        busy = tuple(c for c in self._busy if c >= self._scan)
         return (busy, self._scan, self._last_marked,
                 self.core_cycles, self.unit_cycles)
 
@@ -147,7 +149,7 @@ class MemoryTimeline:
 
     def reset(self) -> None:
         self._busy.clear()
-        self._scan = 0
+        self._scan = 0 if self._consumed else _INF
         self._last_marked = -1
         self.core_cycles = 0
         self.unit_cycles = 0

@@ -44,3 +44,35 @@ def loop_superblocks(engine):
     """
     return [block for block in engine.cache.values()
             if block.segs is not None and block.segs.count(block.entry) > 1]
+
+
+def timing_state(core):
+    """The timing-model state of *core*, read field by field.
+
+    Covers what block dispatch keeps in executor locals or writes back
+    only when a block exits: the issue pipeline, the D$ (per-set LRU
+    order and counters), the branch predictor, NaxRiscv's dataflow
+    window and the memory-port timeline. A missed write-back shows up
+    here even when the cycle count happens to agree.
+    """
+    timeline = core.timeline
+    state = {
+        "next_issue": core.next_issue,
+        "reg_avail": list(core.reg_avail),
+        "timeline": (timeline.core_cycles, timeline._last_marked,
+                     timeline._scan),
+    }
+    dcache = getattr(core, "dcache", None)
+    if dcache is not None:
+        state["dcache"] = ({index: list(ways)
+                            for index, ways in dcache._lines.items()},
+                           dcache.hits, dcache.misses)
+    predictor = getattr(core, "predictor", None)
+    if predictor is not None:
+        state["predictor"] = (dict(predictor.counters),
+                              predictor.predictions,
+                              predictor.mispredictions)
+    if hasattr(core, "_front"):
+        state["window"] = (core._front, core._front_slots,
+                           core._last_commit, core._lsu_next)
+    return state

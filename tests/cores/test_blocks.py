@@ -13,10 +13,11 @@ from repro.cores import CORE_CLASSES
 from repro.cores.blocks import (MAX_BLOCK_INSTRS, BlockEngine, _classify_csr,
                                 _classify_inorder)
 from repro.cores.system import System
+from repro.errors import ConfigurationError
 from repro.isa.assembler import assemble
 from repro.isa.instructions import SPECS, SYNC_OPS, Instr
 from repro.rtosunit.config import parse_config
-from tests.cores.helpers import HALT_TAIL
+from tests.cores.helpers import HALT_TAIL, timing_state
 
 
 def _run(source, core="cv32e40p", config="vanilla", blocks=True,
@@ -37,7 +38,7 @@ def _state(system):
     core = system.core
     return (core.cycle, core.stats.instret, list(core.regs),
             core.stats.as_dict() if hasattr(core.stats, "as_dict")
-            else vars(core.stats).copy())
+            else vars(core.stats).copy(), timing_state(core))
 
 
 FRAGMENTS = {
@@ -144,6 +145,24 @@ out:
         assert on.core.stats.traps == off.core.stats.traps
         assert on.core.stats.traps > 0
 
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_csr_then_rescheduling_custom_op_parity(self, core):
+        # SWITCH_RF issues from ``next_issue``, which NaxRiscv fixes
+        # before a CSR op's serialising front flush, not after it.
+        source = """
+    li   s0, 20
+loop:
+    addi s1, s1, 1
+    csrrw s2, mscratch, s1
+    switch_rf
+    addi s0, s0, -1
+    bnez s0, loop
+"""
+        on = _run(source, core=core, config="S", blocks=True)
+        off = _run(source, core=core, config="S", blocks=False)
+        assert _state(on) == _state(off)
+        assert on.core.perf_counters()["fast_instret"] > 0
+
 
 class TestPredecodeBoundaries:
     def test_block_ends_at_branch(self):
@@ -173,34 +192,22 @@ next:
         assert len(engine.cache[0]) >= 3
         assert 4 in engine.cache[0].addrs
 
-    def test_horizon_csr_writes_resync_inline_on_inorder_cores(self):
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_horizon_csr_writes_resync_inline_on_inorder_cores(self, core):
         source = """
     addi s0, s0, 1
     csrrw s1, mscratch, s0
     csrrci s2, mstatus, 8
     addi s3, s3, 1
 """
-        system = _run(source)
+        system = _run(source, core=core)
         engine = system.core.block_engine
         # mscratch traffic is resident; the mstatus write carries the
-        # terminal flag but the in-order executor resyncs the horizon in
-        # place, so the block runs straight through it.
+        # terminal flag, but both executors resync the horizon in place,
+        # so the block runs straight through it on every core.
         block = engine.cache[0]
         assert len(block) > 3
         assert block.records[2][4]  # csrrci mstatus: horizon-writing
-        assert system.core.csr.read(0x340) == system.core.regs[8]
-
-    def test_horizon_csr_writes_end_the_block_on_arch_cores(self):
-        # The architectural executor's batched-timing admission bound
-        # cannot span a horizon write, so there it still ends the block.
-        system = _run("""
-    addi s0, s0, 1
-    csrrw s1, mscratch, s0
-    csrrci s2, mstatus, 8
-    addi s3, s3, 1
-""", core="naxriscv")
-        engine = system.core.block_engine
-        assert len(engine.cache[0]) == 3
         assert system.core.csr.read(0x340) == system.core.regs[8]
 
     def test_every_mnemonic_has_exactly_one_predecode_path(self):
@@ -351,3 +358,16 @@ class TestRunModeGates:
         counters = system.core.perf_counters()
         assert counters["fast_instret"] == 0
         assert len(seen) == system.core.stats.instret
+
+    @pytest.mark.parametrize("core, hook", [("cv32e40p", "_mem_time"),
+                                            ("cva6", "_branch_time"),
+                                            ("naxriscv", "_mem_latency")])
+    def test_unmodelled_timing_hook_is_refused(self, core, hook):
+        # The executors inline each core's timing hooks; an override they
+        # cannot see must fail when the engine is built, not time wrong.
+        cls = CORE_CLASSES[core]
+        original = getattr(cls, hook)
+        tweaked = type("Tweaked", (cls,),
+                       {hook: lambda self, *args: original(self, *args)})
+        with pytest.raises(ConfigurationError, match="Tweaked"):
+            System(tweaked, parse_config("vanilla"))

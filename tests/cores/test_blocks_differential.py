@@ -4,10 +4,11 @@ Every RTOSBench workload runs on every core model, with and without
 block dispatch, on both the software baseline and a hardware-assisted
 configuration. The two modes must agree on everything observable:
 cycle count, retired instructions, the full core stats, every context
-switch record and the final register state. This is the acceptance
-test for the exactness contract in ``repro.cores.blocks``. It runs
-twice: with superblocks, and with plain blocks only (no block ever
-gets hot enough to be promoted).
+switch record, the final register state and the timing models' own
+state (issue pipeline, D$, predictor, NaxRiscv's window, port
+timeline). This is the acceptance test for the exactness contract in
+``repro.cores.blocks``. It runs twice: with superblocks, and with
+plain blocks only (no block ever gets hot enough to be promoted).
 
 The two long-run workloads ride along for their loops:
 ``interrupt_response``'s background task spins in a two-instruction
@@ -26,7 +27,7 @@ from repro.kernel.builder import KernelBuilder
 from repro.rtosunit.config import parse_config
 from repro.workloads.suite import (RTOSBENCH_WORKLOADS, interrupt_response,
                                    mixed_stress)
-from tests.cores.helpers import loop_superblocks
+from tests.cores.helpers import loop_superblocks, timing_state
 
 ITERATIONS = 3
 CONFIGS = ("vanilla", "SLT")
@@ -42,6 +43,7 @@ def _observable(core, system):
         "regs": [list(bank) for bank in core.banks],
         "pc": core.pc,
         "switches": [dataclasses.asdict(s) for s in system.switches],
+        "timing": timing_state(core),
     }
 
 

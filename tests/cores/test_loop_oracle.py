@@ -2,12 +2,15 @@
 
 Hypothesis generates counted loops of one to three blocks per
 iteration. Bodies mix RV32IM ALU ops (``mul``/``div``/``rem``
-included) with ``lw``/``sw`` into a scratch buffer. Blocks are split
+included) with ``lw``/``sw`` into a scratch buffer and all six Zicsr
+forms on ``mscratch`` (the read-only ``rs1=x0`` and ``zimm=0`` forms
+included), which NaxRiscv's window serialises on. Blocks are split
 by jumps and by data-dependent forward branches, some of which skip an
 op, and the loop closes either with ``bnez`` or with ``beqz`` + ``j``.
 An outer loop reruns it one to three times. Each program runs with
 block dispatch on and off on all three cores; the cycle count, the
-full core stats, the registers and the buffer must agree.
+full core stats, the registers, the buffer and the timing models' state
+must agree.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,7 @@ from repro.cores.blocks import SUPERBLOCK_HOT
 from repro.cores.system import System
 from repro.isa.assembler import assemble
 from repro.rtosunit.config import parse_config
-from tests.cores.helpers import HALT_TAIL
+from tests.cores.helpers import HALT_TAIL, timing_state
 
 MASK = 0xFFFFFFFF
 BUF_WORDS = 16
@@ -28,6 +31,8 @@ _ALU_R = ("add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt",
 _ALU_I = ("addi", "andi", "ori", "xori", "slti", "sltiu")
 _SHIFT_I = ("slli", "srli", "srai")
 _BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
+_CSR_R = ("csrrw", "csrrs", "csrrc")
+_CSR_I = ("csrrwi", "csrrsi", "csrrci")
 
 # Work registers: x5..x15. x25 counts passes, x26 counts trips, x27
 # holds the buffer base; the halt tail uses x31.
@@ -44,6 +49,11 @@ _op = st.one_of(
               _reg, _reg, st.integers(0, 31)),
     st.builds("    lw   x{}, {}(x27)".format, _reg, _offset),
     st.builds("    sw   x{}, {}(x27)".format, _reg, _offset),
+    # rs1 = x0 makes csrrs/csrrc read-only, zimm = 0 csrrsi/csrrci.
+    st.builds("    {} x{}, mscratch, x{}".format, st.sampled_from(_CSR_R),
+              _reg, st.sampled_from((0,) + _WORK)),
+    st.builds("    {} x{}, mscratch, {}".format, st.sampled_from(_CSR_I),
+              _reg, st.one_of(st.just(0), st.integers(0, 31))),
 )
 _body = st.lists(_op, min_size=1, max_size=8)
 
@@ -96,7 +106,8 @@ def _run(program, core, blocks):
     assert cpu.halted
     buf = program.symbol("buf")
     return system, (cpu.cycle, vars(cpu.stats).copy(), list(cpu.regs),
-                    cpu.pc, bytes(system.memory.data[buf:buf + 4 * BUF_WORDS]))
+                    cpu.pc, bytes(system.memory.data[buf:buf + 4 * BUF_WORDS]),
+                    timing_state(cpu))
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,8 +6,23 @@ from repro.cores import CORE_CLASSES, build_system
 from repro.cores.system import System
 from repro.errors import ConfigurationError, SimulationError
 from repro.isa.assembler import assemble
+from repro.kernel.builder import KernelBuilder
+from repro.mem.timeline import MemoryTimeline
 from repro.rtosunit.config import parse_config
+from repro.workloads import yield_pingpong
 from tests.cores.helpers import run_fragment
+
+
+def _run_vanilla(core, timeline=None):
+    workload = yield_pingpong(iterations=3)
+    builder = KernelBuilder(config=parse_config("vanilla"),
+                            objects=workload.objects,
+                            tick_period=workload.tick_period)
+    system = builder.build(core, external_events=workload.external_events)
+    if timeline is not None:
+        system.timeline = system.core.timeline = timeline
+    assert system.run(workload.max_cycles) == 0
+    return system
 
 
 class TestBuildSystem:
@@ -35,6 +50,20 @@ class TestBuildSystem:
     def test_nax_unit_word_cost_is_cache_aware(self):
         system = build_system("naxriscv", parse_config("SLT"))
         assert system.unit.word_cost == system.core.rtosunit_word_cost
+
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_vanilla_timeline_keeps_no_port_marks(self, core):
+        # Only an RTOSUnit consumes port marks. A vanilla run counts the
+        # core's port cycles exactly as a marks-keeping timeline does,
+        # and queues none of them.
+        quiet = _run_vanilla(core)
+        kept = _run_vanilla(core, MemoryTimeline())
+        assert not quiet.timeline._busy
+        assert kept.timeline._busy
+        assert quiet.timeline.core_cycles > 0
+        assert ((quiet.timeline.core_cycles, quiet.timeline._last_marked)
+                == (kept.timeline.core_cycles, kept.timeline._last_marked))
+        assert quiet.core.cycle == kept.core.cycle
 
 
 class TestSimulatorControl:

@@ -1,5 +1,7 @@
 """Cache timing models: hits, misses, LRU, invalidation."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -82,3 +84,60 @@ class TestInvalidation:
         cache = WriteBackCache(size_bytes=1024, line_bytes=32, ways=2)
         cache.invalidate_line(0x200)  # must not raise
         assert not cache.contains(0x200)
+
+
+class _ReferenceCache:
+    """Plain-list LRU model: one list per set, most recent way last."""
+
+    def __init__(self, cache):
+        self.line_bytes = cache.line_bytes
+        self.ways = cache.ways
+        self.write_allocate = cache.write_allocate
+        self.sets = [[] for _ in range(cache.sets)]
+        self.hits = self.misses = 0
+
+    def _set(self, addr):
+        line = addr // self.line_bytes
+        return self.sets[line % len(self.sets)], line
+
+    def lookup(self, addr, is_write):
+        ways, line = self._set(addr)
+        if line in ways:
+            ways.remove(line)
+            ways.append(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if not is_write or self.write_allocate:
+            ways.append(line)
+            if len(ways) > self.ways:
+                del ways[0]
+        return False
+
+    def invalidate_line(self, addr):
+        ways, line = self._set(addr)
+        if line in ways:
+            ways.remove(line)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("cls", [WriteThroughCache, WriteBackCache])
+    def test_random_traffic_matches_plain_lru(self, cls, seed):
+        # Few sets and lines, so hits on the MRU way, hits deeper in a
+        # set, conflict evictions and invalidations all occur.
+        rng = random.Random(seed)
+        cache = cls(size_bytes=256, line_bytes=32, ways=2)  # 4 sets
+        ref = _ReferenceCache(cache)
+        for _ in range(2000):
+            addr = rng.randrange(0, 24 * 32, 4)
+            if rng.random() < 0.05:
+                cache.invalidate_line(addr)
+                ref.invalidate_line(addr)
+                continue
+            is_write = rng.random() < 0.3
+            assert cache.lookup(addr, is_write) == ref.lookup(addr, is_write)
+        assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+        assert ref.hits and ref.misses
+        for index, ways in enumerate(ref.sets):
+            assert cache._lines.get(index, []) == ways

@@ -5,9 +5,9 @@ its own — superblocks are pure caches over predecoded records — so a
 ``System.capture()`` taken mid-run, with hot traces already promoted
 and dispatching, must restore to a state whose continued run is
 byte-identical to an uninterrupted cold run. These tests pin that
-contract on all three cores, including the OoO model whose batched
-``_time_block`` state lives entirely in the core (nothing mid-batch
-survives a return to Python).
+contract on all three cores, including the OoO model, whose window the
+architectural executor keeps in locals only while a block runs and
+writes back to the core on every exit.
 
 Two workloads warm the tier differently. ``yield_pingpong`` promotes
 straight-line kernel traces. In ``interrupt_response`` the background
