@@ -18,7 +18,7 @@ and writes the numbers to ``BENCH_core.json`` at the repo root so a
 regression can be bisected against CI artifacts (see docs/PERF.md).
 
 Since the tiered-compilation upgrade (custom-op-resident blocks, the
-cached cores' timing inside the executors, superblock linking —
+cached cores' timing inside the executors, block chaining —
 docs/PERF.md) two more rows carry their own gates: naxriscv/vanilla must
 hold 1.5x (its OoO window timed inline by the architectural executor)
 and cv32e40p/SLT must hold 2.0x (RTOSUnit custom ops riding inside

@@ -194,7 +194,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro.perf import bench_record, compare_reports, format_report
-    from repro.perf import profile_workload
+    from repro.perf import first_difference, profile_workload
     from repro.workloads import workload_by_name
 
     workload = workload_by_name(args.workload, iterations=args.iterations)
@@ -222,10 +222,8 @@ def _cmd_profile(args) -> int:
                                   if baseline.ips else 0.0)
         write_json(args.perf_json, bench_record("profile", payload))
         print(f"wrote {args.perf_json}")
-    if args.compare and baseline is not None:
-        identical = (report.cycles == baseline.cycles
-                     and report.instret == baseline.instret)
-        return 0 if identical else 1
+    if baseline is not None and first_difference(report, baseline):
+        return 1
     return 0
 
 
@@ -749,16 +747,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-blocks", action="store_true",
                    help="time the exact per-instruction path instead")
     p.add_argument("--blocks", action="store_true",
-                   help="dump block/superblock telemetry: cache hit "
-                        "rate, superblock census and the top slow-path "
-                        "PCs classified by opcode")
+                   help="dump block telemetry: cache hit rate, block "
+                        "transitions chained inside the executors and "
+                        "the top slow-path PCs classified by opcode")
     p.add_argument("--opcodes", action="store_true",
                    help="per-opcode cycle attribution (forces exact path)")
     p.add_argument("--cprofile", action="store_true",
                    help="append a host-level cProfile of the run")
     p.add_argument("--compare", action="store_true",
                    help="run blocks on AND off; print speedup, check that "
-                        "cycles are identical (exit 1 otherwise)")
+                        "cycles, instret, every switch and the core stats "
+                        "are identical (exit 1 otherwise)")
     p.add_argument("--perf-json", default=None, metavar="FILE",
                    help="write the report (and baseline) as JSON")
 

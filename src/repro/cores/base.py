@@ -402,9 +402,7 @@ class BaseCore:
             "invalidations": 0,
             "slow_pcs": 0,
             "slow_pc_evictions": 0,
-            "superblocks": 0,
-            "superblocks_cached": 0,
-            "side_exits": 0,
+            "chained": 0,
         }
         if self.block_engine is not None:
             counters.update(self.block_engine.counters())

@@ -21,10 +21,10 @@ Exactness contract (the whole point):
   dispatch entirely (fault campaigns and invariant checkers therefore
   always observe the per-instruction path). RTOSUnit custom ops are
   *tiered*: deterministic FSM interactions (scheduler list ops, hardware
-  semaphores) predecode into block-resident records driving per-op fast
-  handlers with the exact path's issue/commit arithmetic; ops that can
-  reschedule (bank switches, context restores that write MSTATUS/MEPC)
-  end the block and run through ``_step_custom`` unchanged.
+  semaphores, context restores that write MSTATUS/MEPC) predecode into
+  block-resident records driving per-op fast handlers with the exact
+  path's issue/commit arithmetic; ops that can reschedule (bank
+  switches) end the block and run through ``_step_custom`` unchanged.
 * Interrupts: instead of polling the CLINT per instruction, dispatch
   computes an *interrupt horizon* — the earliest cycle at which
   ``Clint.pending`` could return non-None or mutate state (pop an
@@ -56,13 +56,15 @@ picked from the core class when the engine is built
 (:func:`_timing_model`); a core that overrides a timing hook neither
 executor models is refused there rather than timed wrong.
 
-On top of both layers, hot blocks (:data:`SUPERBLOCK_HOT` clean
-completions) are chained with their dominant successors into
-*superblocks* — one record stream spanning several basic blocks, with
-``K_LINK`` guard records that side-exit back to the exact block boundary
-whenever control leaves the recorded trace. Superblocks register every
-constituent word in the invalidation map, so SMC and fault injection
-drop them exactly like plain blocks.
+Both executors chain blocks, as QEMU chains translation blocks
+(Bellard, "QEMU, a Fast and Portable Dynamic Translator", USENIX ATC
+2005): after a block completes, the executor probes the block cache
+for the next PC itself and keeps running with its locals hoisted. It
+returns to :meth:`BlockEngine.dispatch` only at the bail cycle, at a PC
+with no cached block, after an MMIO or self-modifying store, at a
+rescheduling custom op and after a horizon-writing record. Chaining
+keeps no state of its own: every transition probes the cache again, so
+a block that SMC or fault injection dropped is never re-entered.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ _WORD = 0xFFFFFFFC
 #: (and decode-ahead into non-code bytes that happen to decode).
 MAX_BLOCK_INSTRS = 96
 
-#: Clean completions of a block before it is promoted into a superblock.
-SUPERBLOCK_HOT = 16
-#: Caps on superblock growth: constituent blocks and total records.
-SUPERBLOCK_MAX_SEGMENTS = 8
-SUPERBLOCK_MAX_RECORDS = 512
 #: Bound on the slow-PC memo (same LRU recency policy as the decode cache).
 SLOW_PC_CAPACITY = 65536
 #: Stand-in for an empty ``uncached_ranges``: a range no address is in.
@@ -179,9 +176,6 @@ K_CUSTOM = 15
 #: RTOSUnit custom op that may reschedule (bank switch / context load):
 #: executes via the exact ``_step_custom`` path and ends the block.
 K_CUSTOM_BRK = 16
-#: Superblock segment boundary guard: ``imm`` is the expected next entry,
-#: ``rd`` is 1 when the previous record falls through to it implicitly.
-K_LINK = 17
 #: Zicsr op resident in the block: ``fn`` is a prebuilt ``(rs1_value) ->
 #: old_csr_value`` closure applying the exact read/write/set/clear
 #: effects on the live ``csr.regs`` dict. ``imm`` is 1 when the op can
@@ -312,50 +306,17 @@ def _classify_csr(instr: Instr, csr_regs):
 
 
 class Block:
-    """One predecoded straight-line run starting at ``entry``.
+    """One predecoded straight-line run starting at ``entry``."""
 
-    ``hot`` counts clean completions toward superblock promotion (-1 once
-    promoted or chained, so a block is considered at most once). ``segs``
-    is None for plain blocks; for superblocks it is the tuple of
-    constituent entry PCs (in execution order).
-    """
-
-    __slots__ = ("entry", "records", "addrs", "hot", "segs")
+    __slots__ = ("entry", "records", "addrs")
 
     def __init__(self, entry, records, addrs):
         self.entry = entry
         self.records = records
         self.addrs = addrs
-        self.hot = 0
-        self.segs = None
 
     def __len__(self):
         return len(self.records)
-
-
-def _static_successor(block):
-    """Statically-known next entry PC after *block*, or None.
-
-    Used for superblock growth past the first (observed) link: only
-    successors that do not depend on register values qualify. Backward
-    branches are assumed taken (loop back-edges dominate hot traces);
-    forward branches are assumed not taken.
-    """
-    kind, rd, rs1, rs2, imm, instr, fn = block.records[-1]
-    if kind == K_JAL:
-        return (instr.addr + imm) & MASK32
-    if kind == K_BRANCH:
-        if imm < 0:
-            return (instr.addr + imm) & MASK32
-        return (instr.addr + 4) & MASK32
-    if kind == K_JALR or kind == K_CUSTOM_BRK:
-        return None
-    if (kind == K_CSR or kind == K_CUSTOM) and imm:
-        # Terminal CSR (mstatus/mie write) or terminal custom (context
-        # restore): the horizon resync makes every run report rc 3, so
-        # the trace is not extended past it.
-        return None
-    return (instr.addr + 4) & MASK32
 
 
 #: (core class, executor name) -> per-class clone of the executor.
@@ -443,8 +404,8 @@ class BlockEngine:
         self.misses = 0
         self.invalidations = 0
         self.fast_instret = 0
-        self.superblocks = 0
-        self.side_exits = 0
+        #: Block transitions taken inside an executor call (chaining).
+        self.chained = 0
         #: pc -> slow-path dispatch count; None unless profiling enables it.
         self.slow_counts: dict[int, int] | None = None
         unit = getattr(core, "unit", None)
@@ -462,7 +423,8 @@ class BlockEngine:
         # sets both after construction) is read per call instead.
         hoist = (core.mem, core.mem.data, core.mem.size, core.reg_avail,
                  core.stats, core._decode_cache, self.addr_map, MMIO_ADDRS,
-                 core.config.dirty, params.custom_commit_delay)
+                 core.config.dirty, params.custom_commit_delay, self.cache,
+                 self.cache.capacity or _INF)
         if model != "inorder":
             dcache = core.dcache
             predictor = core.predictor
@@ -538,6 +500,14 @@ class BlockEngine:
         self.addr_map.clear()
         self.slow_pcs.clear()
 
+    def release(self) -> None:
+        """Drop the engine's edges back to its core and to itself (see
+        :meth:`repro.cores.system.System.release`)."""
+        self.core = None
+        self._custom_handlers = None
+        self.cache.on_evict = None
+        self._exec_block = self.dispatch = None
+
     def counters(self) -> dict:
         total = self.hits + self.misses
         return {
@@ -551,10 +521,7 @@ class BlockEngine:
             "invalidations": self.invalidations,
             "slow_pcs": len(self.slow_pcs),
             "slow_pc_evictions": self.slow_pcs.evictions,
-            "superblocks": self.superblocks,
-            "superblocks_cached": sum(1 for b in self.cache.values()
-                                      if b.segs is not None),
-            "side_exits": self.side_exits,
+            "chained": self.chained,
         }
 
     # -- predecode -----------------------------------------------------------
@@ -675,17 +642,20 @@ class BlockEngine:
 
         Returns with the core fully synced whenever the cycle limit is
         crossed, an interrupt may be pending, or the next instruction is
-        slow-path; the caller's per-instruction loop handles it.
+        slow-path; the caller's per-instruction loop handles it. Each
+        executor call chains through cached blocks on its own, so this
+        loop runs once per return from an executor: it builds missing
+        blocks and recomputes the horizon.
 
-        The interrupt horizon is computed lazily and cached across blocks:
-        inside dispatch nothing but an MMIO store or a horizon-writing
+        The interrupt horizon is computed lazily and cached across
+        executor calls: nothing but an MMIO store or a horizon-writing
         CSR/custom record can change its inputs (``read_mmio`` is
         side-effect-free, and event-queue pops happen only in the
         exact-path poll), so it is recomputed only after an executor
-        reports one of those (rc = 3) — the executors also resync it in
-        place mid-block to keep executing. Cache
-        probes use the raw dict lookup; LRU recency is refreshed only once
-        the cache is actually full, when eviction order starts to matter.
+        reports it stale. The executors also resync it in place
+        mid-block to keep executing. Cache probes use the raw dict
+        lookup; LRU recency is refreshed only once the cache is actually
+        full, when eviction order starts to matter.
         """
         core = self.core
         cache = self.cache
@@ -725,101 +695,9 @@ class BlockEngine:
             if horizon <= core.cycle:
                 return
             bail = horizon if horizon < limit else limit
-            rc = exec_block(block, bail, limit)
-            if rc:
-                if rc & 1:
-                    horizon = None  # MMIO store / custom op: the CLINT or
-                    #                 CSR state may have re-armed
-            else:
-                # Clean completion: count toward superblock promotion.
-                h = block.hot
-                if h >= 0:
-                    if h < SUPERBLOCK_HOT:
-                        block.hot = h + 1
-                    elif not core.halted:
-                        block.hot = -1
-                        self._promote(block)
-
-    # -- superblock promotion --------------------------------------------------
-
-    def _promote(self, head) -> None:
-        """Chain *head*'s dominant successors into one superblock.
-
-        Called right after a clean completion, so ``core.pc`` is the
-        observed successor — the first link follows the trace the program
-        actually took (taken back-edges included). Further links follow
-        statically-known successors only. A trace that returns to the
-        head's own entry is a closed loop: the recorded iteration repeats
-        as many whole times as the segment and record caps allow, and the
-        superblock ends where it re-enters itself. A trace that runs into
-        any other block it already holds stops there. The superblock
-        replaces the head entry in the cache and registers every
-        constituent word in ``addr_map``, so SMC/fault invalidation of
-        *any* covered word drops the whole superblock. Segment boundaries
-        (back-edges included) become ``K_LINK`` guard records that
-        side-exit back to the exact block boundary whenever control
-        leaves the recorded trace.
-        """
-        cache = self.cache
-        dget = dict.get
-        slow_pcs = self.slow_pcs
-        segs = [head]
-        entries = {head.entry}
-        total = len(head.records)
-        succ = self.core.pc
-        while (len(segs) < SUPERBLOCK_MAX_SEGMENTS
-               and total < SUPERBLOCK_MAX_RECORDS):
-            if succ == head.entry:
-                # Closed loop: unroll whole iterations (at least one fits,
-                # since the caps were checked above).
-                segs *= min(SUPERBLOCK_MAX_SEGMENTS // len(segs),
-                            SUPERBLOCK_MAX_RECORDS // total)
-                break
-            if succ is None or succ in entries:
-                break  # unknown target or trace runs into itself: stop
-            nxt = dget(cache, succ)
-            if nxt is None:
-                if succ in slow_pcs:
-                    break
-                nxt = self._build(succ)
-                if nxt is None:
-                    slow_pcs[succ] = True
-                    break
-            if nxt.segs is not None:
-                break  # never chain into another superblock
-            nxt.hot = -1
-            segs.append(nxt)
-            entries.add(nxt.entry)
-            total += len(nxt.records)
-            succ = _static_successor(nxt)
-        if len(segs) < 2:
-            return
-        records = list(segs[0].records)
-        addrs = list(segs[0].addrs)
-        for seg in segs[1:]:
-            prev_instr = records[-1][5]
-            fall_ok = 1 if ((prev_instr.addr + 4) & MASK32) == seg.entry \
-                else 0
-            records.append((K_LINK, fall_ok, 0, 0, seg.entry,
-                            prev_instr, None))
-            records.extend(seg.records)
-            addrs.extend(seg.addrs)
-        entry = head.entry
-        old = cache.pop(entry, None)
-        if old is not None:
-            self._unregister(old)
-        sblock = Block(entry, tuple(records), tuple(addrs))
-        sblock.hot = -1
-        sblock.segs = tuple(b.entry for b in segs)
-        cache[entry] = sblock
-        addr_map = self.addr_map
-        for a in sblock.addrs:
-            pcs = addr_map.get(a)
-            if pcs is None:
-                addr_map[a] = {entry}
-            else:
-                pcs.add(entry)
-        self.superblocks += 1
+            if exec_block(block, bail, limit):
+                horizon = None  # MMIO store / custom op: the CLINT or
+                #                 CSR state may have re-armed
 
     # -- executors -----------------------------------------------------------
 
@@ -847,17 +725,18 @@ class BlockEngine:
         interrupt poll on the same boundary, as in
         :meth:`_exec_block_inorder`. A rescheduling custom op ends the
         loop and runs through ``_step_custom`` once the locals are
-        written back. Return codes: 0 = clean completion (counts toward
-        superblock promotion), 2 = early break (bail / SMC / side exit),
-        3 = the cached interrupt horizon is stale (MMIO store,
-        rescheduling custom op, horizon write).
+        written back. Blocks chain as in :meth:`_exec_block_inorder`;
+        the locals carry over unchanged, because ``fix_at`` counts
+        ``done`` across the whole call. Returns True when dispatch's
+        cached interrupt horizon is stale (MMIO store, rescheduling
+        custom op, horizon write).
         """
         core = self.core
         (mem, data, memsize, avail, stats, decoded, addr_map, mmio,
-         config_dirty, custom_delay, dcache, lines, nsets, line_bytes,
-         lookup, predictor, counters, entries, width, redirect, load_lat,
-         mul_lat, div_cyc, csr_cyc, line_words, refill, store_miss,
-         load_miss, mmio_lat) = self._hoist
+         config_dirty, custom_delay, cache, cap, dcache, lines, nsets,
+         line_bytes, lookup, predictor, counters, entries, width, redirect,
+         load_lat, mul_lat, div_cyc, csr_cyc, line_words, refill,
+         store_miss, load_miss, mmio_lat) = self._hoist
         dget = dict.get
         timeline = core.timeline
         tl_append = timeline._busy.append
@@ -875,382 +754,385 @@ class BlockEngine:
         fnext = core.next_issue
         fix_at = issue = 0
         loads = stores = branches = takenb = regw = stall = customs = 0
-        dirty = done = hflip = hits = preds = mps = 0
+        dirty = done = hits = preds = mps = chained = 0
         instr = brk = None
-        pc_set = False
-        rc = 0
+        pc_set = stale = False
         try:
-            for rec in block.records:
-                kind, rd, rs1, rs2, imm, instr, fn = rec
-                if kind == K_LINK:
-                    # Superblock segment guard (needs the *previous*
-                    # record's pc_set, hence checked before the reset).
-                    if pc_set:
-                        if core.pc != imm:
-                            self.side_exits += 1
-                            rc = 2
+            while True:
+                for rec in block.records:
+                    kind, rd, rs1, rs2, imm, instr, fn = rec
+                    if kind <= _K_SIMPLE_MAX:
+                        if kind == K_ADDI:
+                            value = regs[rs1] + imm
+                        elif kind == K_ALU:
+                            value = fn(regs[rs1], regs[rs2])
+                        elif kind == K_ALUI:
+                            value = fn(regs[rs1], imm)
+                        elif kind == K_LUI:
+                            value = imm << 12
+                        else:  # K_AUIPC
+                            value = instr.addr + (imm << 12)
+                        if slots:
+                            slots -= 1
+                        else:
+                            front += 1
+                            slots = width - 1
+                        issue = front
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - front
+                        complete = issue + 1
+                        if rd:
+                            regs[rd] = value & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = complete
+                    elif kind == K_LW or kind == K_LBH:
+                        if kind == K_LW:
+                            size, sign_bit, sign_sub = 4, 0, 0
+                        else:
+                            size, sign_bit, sign_sub = fn
+                        addr = (regs[rs1] + imm) & MASK32
+                        io = addr in mmio
+                        if io or addr % size or addr + size > memsize:
+                            # MMIO reads the live cycle; anything else raises.
+                            core.cycle = fcycle if fix_at == done else commit
+                            value = mem.read(addr, size)
+                        else:
+                            value = int.from_bytes(data[addr:addr + size],
+                                                   "little")
+                        if sign_bit and value & sign_bit:
+                            value -= sign_sub
+                        loads += 1
+                        if slots:
+                            slots -= 1
+                        else:
+                            front += 1
+                            slots = width - 1
+                        issue = front
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - front
+                        if lsu > issue:
+                            issue = lsu
+                        # The port is busy in the issue cycle
+                        # (``mark_core_busy`` inlined as in the in-order
+                        # executor).
+                        if issue > tl_last:
+                            tl_last = issue
+                        if tl_last >= tl_scan:
+                            tl_append(tl_last)
+                        tl_marks += 1
+                        if io:
+                            complete = issue + mmio_lat  # uncached MMIO
+                            lsu = issue + 2
+                        else:
+                            line = addr // line_bytes
+                            ways = dget(lines, line % nsets)
+                            if ways and ways[-1] == line:
+                                hits += 1  # MRU way: LRU order unchanged
+                                complete = issue + load_lat
+                                lsu = issue + 1
+                            elif lookup(addr, False):
+                                complete = issue + load_lat
+                                lsu = issue + 1
+                            else:
+                                # Line refill: one port beat per word.
+                                for beat in range(issue + 1,
+                                                  issue + line_words):
+                                    if beat > tl_last:
+                                        tl_last = beat
+                                    if tl_last >= tl_scan:
+                                        tl_append(tl_last)
+                                tl_marks += line_words - 1
+                                complete = issue + load_miss
+                                lsu = issue + refill
+                        if rd:
+                            regs[rd] = value & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = complete
+                    elif kind == K_SW or kind == K_SBH:
+                        size = 4 if kind == K_SW else fn
+                        addr = (regs[rs1] + imm) & MASK32
+                        io = addr in mmio
+                        if io:
+                            # halt/probe record the live cycle
+                            core.cycle = fcycle if fix_at == done else commit
+                            mem.write(addr, regs[rs2], size)
+                        else:
+                            if addr % size or addr + size > memsize:
+                                # raises exactly
+                                mem.write(addr, regs[rs2], size)
+                            if size == 4:
+                                data[addr:addr + 4] = regs[rs2].to_bytes(
+                                    4, "little")
+                            else:
+                                mask = (1 << (8 * size)) - 1
+                                data[addr:addr + size] = (
+                                    regs[rs2] & mask).to_bytes(size, "little")
+                        stores += 1
+                        if slots:
+                            slots -= 1
+                        else:
+                            front += 1
+                            slots = width - 1
+                        issue = front
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - front
+                        if lsu > issue:
+                            issue = lsu
+                        if issue > tl_last:
+                            tl_last = issue
+                        if tl_last >= tl_scan:
+                            tl_append(tl_last)
+                        tl_marks += 1
+                        if io:
+                            complete = issue + mmio_lat
+                            lsu = issue + 2
+                        else:
+                            line = addr // line_bytes
+                            ways = dget(lines, line % nsets)
+                            if ways and ways[-1] == line:
+                                hits += 1
+                                complete = lsu = issue + 1
+                            elif lookup(addr, True):
+                                complete = lsu = issue + 1
+                            else:
+                                for beat in range(issue + 1,
+                                                  issue + line_words):
+                                    if beat > tl_last:
+                                        tl_last = beat
+                                    if tl_last >= tl_scan:
+                                        tl_append(tl_last)
+                                tl_marks += line_words - 1
+                                complete = issue + store_miss
+                                lsu = issue + refill
+                        if complete > commit:
+                            commit = complete
+                        done += 1
+                        if io:
+                            stale = True
+                            break  # halt/msip/mtimecmp may have changed
+                        word = addr & _WORD
+                        if word in decoded or word in addr_map:
+                            core.invalidate_code(word)  # self-modifying store
                             break
-                    elif not rd:  # rd=1 marks an implicit fall-through
-                        core.pc = (instr.addr + 4) & MASK32
-                        self.side_exits += 1
-                        rc = 2
-                        break
-                    continue
-                pc_set = False
-                if kind <= _K_SIMPLE_MAX:
-                    if kind == K_ADDI:
-                        value = regs[rs1] + imm
-                    elif kind == K_ALU:
-                        value = fn(regs[rs1], regs[rs2])
-                    elif kind == K_ALUI:
-                        value = fn(regs[rs1], imm)
-                    elif kind == K_LUI:
-                        value = imm << 12
-                    else:  # K_AUIPC
-                        value = instr.addr + (imm << 12)
-                    if slots:
-                        slots -= 1
-                    else:
-                        front += 1
-                        slots = width - 1
-                    issue = front
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - front
-                    complete = issue + 1
-                    if rd:
-                        regs[rd] = value & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = complete
-                elif kind == K_LW or kind == K_LBH:
-                    if kind == K_LW:
-                        size, sign_bit, sign_sub = 4, 0, 0
-                    else:
-                        size, sign_bit, sign_sub = fn
-                    addr = (regs[rs1] + imm) & MASK32
-                    io = addr in mmio
-                    if io or addr % size or addr + size > memsize:
-                        # MMIO reads the live cycle; anything else raises.
-                        core.cycle = fcycle if fix_at == done else commit
-                        value = mem.read(addr, size)
-                    else:
-                        value = int.from_bytes(data[addr:addr + size],
-                                               "little")
-                    if sign_bit and value & sign_bit:
-                        value -= sign_sub
-                    loads += 1
-                    if slots:
-                        slots -= 1
-                    else:
-                        front += 1
-                        slots = width - 1
-                    issue = front
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - front
-                    if lsu > issue:
-                        issue = lsu
-                    # The port is busy in the issue cycle (``mark_core_busy``
-                    # inlined as in the in-order executor).
-                    if issue > tl_last:
-                        tl_last = issue
-                    if tl_last >= tl_scan:
-                        tl_append(tl_last)
-                    tl_marks += 1
-                    if io:
-                        complete = issue + mmio_lat  # uncached MMIO
-                        lsu = issue + 2
-                    else:
-                        line = addr // line_bytes
-                        ways = dget(lines, line % nsets)
-                        if ways and ways[-1] == line:
-                            hits += 1  # MRU way: LRU order unchanged
-                            complete = issue + load_lat
-                            lsu = issue + 1
-                        elif lookup(addr, False):
-                            complete = issue + load_lat
-                            lsu = issue + 1
+                        if commit >= bail:
+                            break
+                        continue
+                    elif kind == K_BRANCH:
+                        branches += 1
+                        taken = fn(regs[rs1], regs[rs2])
+                        if taken:
+                            takenb += 1
+                            pc = (instr.addr + imm) & MASK32
+                            pc_set = True
+                        if slots:
+                            slots -= 1
                         else:
-                            # Line refill: one port beat per word.
-                            for beat in range(issue + 1, issue + line_words):
-                                if beat > tl_last:
-                                    tl_last = beat
-                                if tl_last >= tl_scan:
-                                    tl_append(tl_last)
-                            tl_marks += line_words - 1
-                            complete = issue + load_miss
-                            lsu = issue + refill
-                    if rd:
-                        regs[rd] = value & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = complete
-                elif kind == K_SW or kind == K_SBH:
-                    size = 4 if kind == K_SW else fn
-                    addr = (regs[rs1] + imm) & MASK32
-                    io = addr in mmio
-                    if io:
-                        # halt/probe record the live cycle
-                        core.cycle = fcycle if fix_at == done else commit
-                        mem.write(addr, regs[rs2], size)
-                    else:
-                        if addr % size or addr + size > memsize:
-                            mem.write(addr, regs[rs2], size)  # raises exactly
-                        if size == 4:
-                            data[addr:addr + 4] = regs[rs2].to_bytes(
-                                4, "little")
+                            front += 1
+                            slots = width - 1
+                        issue = front
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - front
+                        # Bimodal predictor, as ``predict_and_update``.
+                        index = (instr.addr >> 2) % entries
+                        counter = dget(counters, index, 1)
+                        if taken:
+                            counters[index] = counter + 1 if counter < 3 else 3
+                            miss = counter < 2
                         else:
-                            mask = (1 << (8 * size)) - 1
-                            data[addr:addr + size] = (
-                                regs[rs2] & mask).to_bytes(size, "little")
-                    stores += 1
-                    if slots:
-                        slots -= 1
-                    else:
-                        front += 1
-                        slots = width - 1
-                    issue = front
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - front
-                    if lsu > issue:
-                        issue = lsu
-                    if issue > tl_last:
-                        tl_last = issue
-                    if tl_last >= tl_scan:
-                        tl_append(tl_last)
-                    tl_marks += 1
-                    if io:
-                        complete = issue + mmio_lat
-                        lsu = issue + 2
-                    else:
-                        line = addr // line_bytes
-                        ways = dget(lines, line % nsets)
-                        if ways and ways[-1] == line:
-                            hits += 1
-                            complete = lsu = issue + 1
-                        elif lookup(addr, True):
-                            complete = lsu = issue + 1
+                            counters[index] = counter - 1 if counter else 0
+                            miss = counter > 1
+                        preds += 1
+                        if miss:
+                            mps += 1
+                            c = issue + redirect  # front-end refill
+                            if c > front:
+                                front = c
+                                slots = width
+                        complete = issue + 1
+                    elif kind == K_JAL or kind == K_JALR:
+                        if kind == K_JALR:
+                            target = (regs[rs1] + imm) & MASK32 & ~1
                         else:
-                            for beat in range(issue + 1, issue + line_words):
-                                if beat > tl_last:
-                                    tl_last = beat
-                                if tl_last >= tl_scan:
-                                    tl_append(tl_last)
-                            tl_marks += line_words - 1
-                            complete = issue + store_miss
-                            lsu = issue + refill
-                    if complete > commit:
-                        commit = complete
-                    done += 1
-                    if io:
-                        rc = 3
-                        break  # halt/msip/mtimecmp may have changed
-                    word = addr & _WORD
-                    if word in decoded or word in addr_map:
-                        core.invalidate_code(word)  # self-modifying store
-                        rc = 2
-                        break
-                    if commit >= bail:
-                        rc = 2
-                        break
-                    continue
-                elif kind == K_BRANCH:
-                    branches += 1
-                    taken = fn(regs[rs1], regs[rs2])
-                    if taken:
-                        takenb += 1
-                        core.pc = (instr.addr + imm) & MASK32
+                            target = (instr.addr + imm) & MASK32
+                        if slots:
+                            slots -= 1
+                        else:
+                            front += 1
+                            slots = width - 1
+                        issue = front
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - front
+                        complete = issue + 1
+                        if rd:
+                            regs[rd] = (instr.addr + 4) & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = complete
+                        if kind == K_JALR:
+                            # The indirect target resolves at issue.
+                            c = issue + 2
+                            if c > front:
+                                front = c
+                                slots = width
+                        pc = target
                         pc_set = True
-                    if slots:
-                        slots -= 1
-                    else:
-                        front += 1
-                        slots = width - 1
-                    issue = front
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - front
-                    # Bimodal predictor, as ``predict_and_update``.
-                    index = (instr.addr >> 2) % entries
-                    counter = dget(counters, index, 1)
-                    if taken:
-                        counters[index] = counter + 1 if counter < 3 else 3
-                        miss = counter < 2
-                    else:
-                        counters[index] = counter - 1 if counter else 0
-                        miss = counter > 1
-                    preds += 1
-                    if miss:
-                        mps += 1
-                        c = issue + redirect  # front-end refill
-                        if c > front:
-                            front = c
+                    elif kind == K_MUL or kind == K_DIV:
+                        value = fn(regs[rs1], regs[rs2])
+                        if slots:
+                            slots -= 1
+                        else:
+                            front += 1
+                            slots = width - 1
+                        issue = front
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - front
+                        complete = issue + (mul_lat if kind == K_MUL
+                                            else div_cyc)
+                        if rd:
+                            regs[rd] = value & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = complete
+                    elif kind == K_CSR:
+                        old = fn(regs[rs1])
+                        if slots:
+                            slots -= 1
+                        else:
+                            front += 1
+                            slots = width - 1
+                        issue = front
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - front
+                        complete = issue + csr_cyc
+                        if rd:
+                            regs[rd] = old
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = complete
+                        if complete > commit:
+                            commit = complete
+                        # ``next_issue`` is taken before the serialising flush.
+                        fcycle = commit
+                        fnext = front if front > issue + 1 else issue + 1
+                        fix_at = done + 1
+                        if complete > front:
+                            front = complete
                             slots = width
-                    complete = issue + 1
-                elif kind == K_JAL or kind == K_JALR:
-                    if kind == K_JALR:
-                        target = (regs[rs1] + imm) & MASK32 & ~1
-                    else:
-                        target = (instr.addr + imm) & MASK32
-                    if slots:
-                        slots -= 1
-                    else:
-                        front += 1
-                        slots = width - 1
-                    issue = front
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - front
-                    complete = issue + 1
-                    if rd:
-                        regs[rd] = (instr.addr + 4) & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = complete
-                    if kind == K_JALR:
-                        # The indirect target resolves at issue.
-                        c = issue + 2
-                        if c > front:
-                            front = c
-                            slots = width
-                    core.pc = target
-                    pc_set = True
-                elif kind == K_MUL or kind == K_DIV:
-                    value = fn(regs[rs1], regs[rs2])
-                    if slots:
-                        slots -= 1
-                    else:
-                        front += 1
-                        slots = width - 1
-                    issue = front
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - front
-                    complete = issue + (mul_lat if kind == K_MUL else div_cyc)
-                    if rd:
-                        regs[rd] = value & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = complete
-                elif kind == K_CSR:
-                    old = fn(regs[rs1])
-                    if slots:
-                        slots -= 1
-                    else:
-                        front += 1
-                        slots = width - 1
-                    issue = front
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - front
-                    complete = issue + csr_cyc
-                    if rd:
-                        regs[rd] = old
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = complete
+                        if imm:
+                            # mstatus/mie write: interrupts may have been
+                            # enabled or masked — resync the horizon in
+                            # place and keep going under the new bail.
+                            stale = True
+                            core.cycle = commit
+                            h = self._horizon()
+                            bail = h if h < limit else limit
+                    elif kind == K_CUSTOM:
+                        # Block-resident: same issue/commit arithmetic as
+                        # ``_step_custom``, effects via the per-op handler.
+                        # Custom ops take no front-end slot.
+                        if fix_at == done:
+                            c = fnext
+                        else:
+                            c = front if front > issue + 1 else issue + 1
+                        a = avail[rs1]
+                        if a > c:
+                            c = a
+                        a = avail[rs2]
+                        if a > c:
+                            c = a
+                        c += custom_delay
+                        rdv, complete = fn(regs[rs1], regs[rs2], c)
+                        if complete < c:
+                            complete = c
+                        if rd:
+                            regs[rd] = rdv & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = complete + 1
+                        customs += 1
+                        tl_scan = timeline._scan  # the FSMs may have consumed
+                        done += 1
+                        fcycle = complete
+                        fnext = complete + 1
+                        fix_at = done
+                        if imm:
+                            # Restored MSTATUS/MEPC — resync the horizon in
+                            # place and keep going under the new bail.
+                            stale = True
+                            core.cycle = complete
+                            h = self._horizon()
+                            bail = h if h < limit else limit
+                        if complete >= bail:
+                            break
+                        continue
+                    else:  # K_CUSTOM_BRK
+                        brk = instr
+                        break
                     if complete > commit:
                         commit = complete
-                    # ``next_issue`` is taken before the serialising flush.
-                    fcycle = commit
-                    fnext = front if front > issue + 1 else issue + 1
-                    fix_at = done + 1
-                    if complete > front:
-                        front = complete
-                        slots = width
-                    if imm:
-                        # mstatus/mie write: interrupts may have been
-                        # enabled or masked — resync the horizon in
-                        # place and keep going under the new bail.
-                        hflip = 1
-                        core.cycle = commit
-                        h = self._horizon()
-                        bail = h if h < limit else limit
-                elif kind == K_CUSTOM:
-                    # Block-resident: same issue/commit arithmetic as
-                    # ``_step_custom``, effects via the per-op handler.
-                    # Custom ops take no front-end slot.
-                    if fix_at == done:
-                        c = fnext
-                    else:
-                        c = front if front > issue + 1 else issue + 1
-                    a = avail[rs1]
-                    if a > c:
-                        c = a
-                    a = avail[rs2]
-                    if a > c:
-                        c = a
-                    c += custom_delay
-                    rdv, complete = fn(regs[rs1], regs[rs2], c)
-                    if complete < c:
-                        complete = c
-                    if rd:
-                        regs[rd] = rdv & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = complete + 1
-                    customs += 1
-                    tl_scan = timeline._scan  # the FSMs may have consumed
                     done += 1
-                    fcycle = complete
-                    fnext = complete + 1
-                    fix_at = done
-                    if imm:
-                        # Restored MSTATUS/MEPC — resync the horizon in
-                        # place and keep going under the new bail.
-                        hflip = 1
-                        core.cycle = complete
-                        h = self._horizon()
-                        bail = h if h < limit else limit
-                    if complete >= bail:
-                        rc = 2
+                    if commit >= bail:
                         break
+                else:
+                    # Clean completion: chain into the next cached block
+                    # with dispatch's probe, hit count and LRU refresh.
+                    if not pc_set:
+                        pc = (instr.addr + 4) & MASK32
+                        pc_set = True
+                    if stale:
+                        break  # dispatch recomputes the horizon
+                    block = dget(cache, pc)
+                    if block is None:
+                        break  # slow or not built yet: dispatch decides
+                    if len(cache) >= cap:
+                        cache.move_to_end(pc)
+                    chained += 1
+                    pc_set = False
                     continue
-                else:  # K_CUSTOM_BRK
-                    brk = instr
-                    break
-                if complete > commit:
-                    commit = complete
-                done += 1
-                if commit >= bail:
-                    rc = 2
-                    break
+                break
         except BaseException:
             # Exact-path contract: a faulting instruction leaves pc at its
             # own address and the cycle at the previous completion.
@@ -1278,8 +1160,6 @@ class BlockEngine:
                 if mps:
                     predictor.mispredictions += mps
                     stats.mispredicts += mps
-            if hflip:
-                rc = 3
             stats.instret += done
             stats.loads += loads
             stats.stores += stores
@@ -1292,6 +1172,9 @@ class BlockEngine:
             if dirty:
                 core.dirty_mask |= dirty
             self.fast_instret += done
+            if chained:
+                self.hits += chained
+                self.chained += chained
         if brk is not None:
             # May reschedule (bank switch / context restore): run the
             # exact path on the synced core; it ends the block.
@@ -1299,10 +1182,9 @@ class BlockEngine:
             core._step_custom(brk)
             stats.instret += 1
             self.fast_instret += 1
-            return 3
-        if not pc_set:
-            core.pc = (instr.addr + 4) & MASK32
-        return rc
+            return True
+        core.pc = pc if pc_set else (instr.addr + 4) & MASK32
+        return stale
 
     def _exec_block_inorder(self, block, bail, limit):
         """Fully inlined loop for cores on BaseCore's in-order timing.
@@ -1326,25 +1208,33 @@ class BlockEngine:
         ``self._horizon()`` is side-effect-free — clamp ``bail`` to
         ``limit`` (the caller's cycle ceiling), and keep executing; the
         per-record ``cycle >= bail`` check then lands the exact-path
-        interrupt poll on the same instruction boundary as before. Any
-        such block reports rc 3 so dispatch drops its cached horizon.
-        Return codes as in :meth:`_exec_block_arch`: 0 = clean
-        completion, 2 = early break, 3 = break invalidating the cached
-        interrupt horizon.
+        interrupt poll on the same instruction boundary as before.
+
+        Blocks chain: after a clean completion the loop probes the block
+        cache for the next PC itself, exactly as :meth:`dispatch` would
+        (raw ``dict.get``, a block hit, LRU refresh once the cache is
+        full), and keeps running under the same ``bail`` with its locals
+        hoisted. That is exact because a clean completion leaves the
+        core where dispatch would find it: not halted, below ``bail``,
+        with the cached horizon still valid. The loop returns to
+        dispatch at the bail cycle, at a PC with no cached block, after
+        an MMIO or self-modifying store, at a rescheduling custom op and
+        after a horizon-writing record. Returns True when dispatch's
+        cached interrupt horizon is stale (the last three of those).
         """
         core = self.core
         (mem, data, memsize, avail, stats, decoded, addr_map, mmio,
-         config_dirty, custom_delay, cached, load_lat, taken_pen, jump_pen,
-         mul_lat, div_cyc, csr_pen) = self._hoist
+         config_dirty, custom_delay, cache, cap, cached, load_lat,
+         taken_pen, jump_pen, mul_lat, div_cyc, csr_pen) = self._hoist
         if cached:
             (dcache, lines, nsets, line_bytes, lookup, predictor, counters,
              entries, mp_pen, miss_lat, unc_lat,
              line_words) = self._cache_hoist
             # The System adds CVA6's one uncached range (the context
-            # region) after the engine is built, so it is read per block.
+            # region) after the engine is built, so it is read per call.
             (unc_lo, unc_hi), = core.uncached_ranges or _NO_RANGE
-            dget = dict.get
             hits = preds = mps = 0
+        dget = dict.get
         # ``mark_core_busy`` inlined: the busy queue appends eagerly while
         # the scan fence and last-mark clamp stay in locals. The fence is
         # reread after a resident custom handler, whose FSMs may consume
@@ -1361,122 +1251,133 @@ class BlockEngine:
         cycle = core.cycle
         next_issue = core.next_issue
         loads = stores = branches = takenb = regw = stall = customs = 0
-        dirty = done = hflip = 0
+        dirty = done = chained = 0
         instr = None
-        pc_set = False
-        rc = 0
+        pc_set = stale = False
         try:
-            for rec in block.records:
-                kind, rd, rs1, rs2, imm, instr, fn = rec
-                if kind == K_LINK:
-                    # Superblock segment guard (needs the *previous*
-                    # record's pc_set, hence checked before the reset).
-                    if pc_set:
-                        if core.pc != imm:
-                            self.side_exits += 1
-                            rc = 2
-                            break
-                    elif not rd:  # rd=1 marks an implicit fall-through
-                        core.pc = (instr.addr + 4) & MASK32
-                        self.side_exits += 1
-                        rc = 2
-                        break
-                    continue
-                pc_set = False
-                if kind <= _K_SIMPLE_MAX:
-                    # Zero-penalty, zero-latency ALU class.
-                    if kind == K_ADDI:
-                        value = regs[rs1] + imm
-                    elif kind == K_ALU:
-                        value = fn(regs[rs1], regs[rs2])
-                    elif kind == K_ALUI:
-                        value = fn(regs[rs1], imm)
-                    elif kind == K_LUI:
-                        value = imm << 12
-                    else:  # K_AUIPC
-                        value = instr.addr + (imm << 12)
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if rd:
-                        regs[rd] = value & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = issue
-                    cycle = issue
-                    next_issue = issue + 1
-                elif kind == K_LW:
-                    addr = (regs[rs1] + imm) & MASK32
-                    if addr in mmio:
-                        core.cycle = cycle  # mtime reads the live cycle
-                        value = mem.read(addr, 4)
-                    elif addr & 3 or addr + 4 > memsize:
-                        value = mem.read(addr, 4)  # raises exactly
-                    else:
-                        value = int.from_bytes(data[addr:addr + 4], "little")
-                    if rd:
-                        regs[rd] = value
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                    loads += 1
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if cached:
-                        if addr in mmio or unc_lo <= addr < unc_hi:
-                            # Uncached: one bus beat.
+            while True:
+                for rec in block.records:
+                    kind, rd, rs1, rs2, imm, instr, fn = rec
+                    if kind <= _K_SIMPLE_MAX:
+                        # Zero-penalty, zero-latency ALU class.
+                        if kind == K_ADDI:
+                            value = regs[rs1] + imm
+                        elif kind == K_ALU:
+                            value = fn(regs[rs1], regs[rs2])
+                        elif kind == K_ALUI:
+                            value = fn(regs[rs1], imm)
+                        elif kind == K_LUI:
+                            value = imm << 12
+                        else:  # K_AUIPC
+                            value = instr.addr + (imm << 12)
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - next_issue
+                        if rd:
+                            regs[rd] = value & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = issue
+                        cycle = issue
+                        next_issue = issue + 1
+                    elif kind == K_LW:
+                        addr = (regs[rs1] + imm) & MASK32
+                        if addr in mmio:
+                            core.cycle = cycle  # mtime reads the live cycle
+                            value = mem.read(addr, 4)
+                        elif addr & 3 or addr + 4 > memsize:
+                            value = mem.read(addr, 4)  # raises exactly
+                        else:
+                            value = int.from_bytes(data[addr:addr + 4],
+                                                   "little")
+                        if rd:
+                            regs[rd] = value
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                        loads += 1
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - next_issue
+                        if cached:
+                            if addr in mmio or unc_lo <= addr < unc_hi:
+                                # Uncached: one bus beat.
+                                if issue >= tl_last:
+                                    tl_last = issue
+                                if tl_last >= tl_scan:
+                                    tl_append(tl_last)
+                                tl_marks += 1
+                                rlat = unc_lat
+                            else:
+                                line = addr // line_bytes
+                                ways = dget(lines, line % nsets)
+                                if ways and ways[-1] == line:
+                                    hits += 1  # MRU way: LRU order unchanged
+                                    rlat = load_lat
+                                elif lookup(addr, False):
+                                    rlat = load_lat
+                                else:
+                                    # The refill holds the bus for a line.
+                                    for beat in range(issue,
+                                                      issue + line_words):
+                                        if beat > tl_last:
+                                            tl_last = beat
+                                        if tl_last >= tl_scan:
+                                            tl_append(tl_last)
+                                    tl_marks += line_words
+                                    rlat = miss_lat
+                            if rd:
+                                avail[rd] = issue + rlat
+                        else:
                             if issue >= tl_last:
                                 tl_last = issue
                             if tl_last >= tl_scan:
                                 tl_append(tl_last)
                             tl_marks += 1
-                            rlat = unc_lat
-                        else:
-                            line = addr // line_bytes
-                            ways = dget(lines, line % nsets)
-                            if ways and ways[-1] == line:
-                                hits += 1  # MRU way: LRU order unchanged
-                                rlat = load_lat
-                            elif lookup(addr, False):
-                                rlat = load_lat
-                            else:
-                                # The refill holds the bus for a line.
-                                for beat in range(issue, issue + line_words):
-                                    if beat > tl_last:
-                                        tl_last = beat
-                                    if tl_last >= tl_scan:
-                                        tl_append(tl_last)
-                                tl_marks += line_words
-                                rlat = miss_lat
-                        if rd:
-                            avail[rd] = issue + rlat
-                    else:
-                        if issue >= tl_last:
-                            tl_last = issue
-                        if tl_last >= tl_scan:
-                            tl_append(tl_last)
-                        tl_marks += 1
-                        if rd:
-                            avail[rd] = issue + load_lat
-                    cycle = issue
-                    next_issue = issue + 1
-                elif kind == K_SW:
-                    addr = (regs[rs1] + imm) & MASK32
-                    if addr in mmio:
-                        core.cycle = cycle  # probe/halt record the live cycle
-                        mem.write(addr, regs[rs2], 4)
+                            if rd:
+                                avail[rd] = issue + load_lat
+                        cycle = issue
+                        next_issue = issue + 1
+                    elif kind == K_SW:
+                        addr = (regs[rs1] + imm) & MASK32
+                        if addr in mmio:
+                            # probe/halt record the live cycle
+                            core.cycle = cycle
+                            mem.write(addr, regs[rs2], 4)
+                            stores += 1
+                            issue = next_issue
+                            a = avail[rs1]
+                            if a > issue:
+                                issue = a
+                            a = avail[rs2]
+                            if a > issue:
+                                issue = a
+                            stall += issue - next_issue
+                            # MMIO is uncached on every core: one bus beat.
+                            if issue >= tl_last:
+                                tl_last = issue
+                            if tl_last >= tl_scan:
+                                tl_append(tl_last)
+                            tl_marks += 1
+                            cycle = issue
+                            next_issue = issue + 1
+                            done += 1
+                            stale = True
+                            break  # halt/msip/mtimecmp may have changed
+                        if addr & 3 or addr + 4 > memsize:
+                            mem.write(addr, regs[rs2], 4)  # raises exactly
+                        data[addr:addr + 4] = regs[rs2].to_bytes(4, "little")
                         stores += 1
                         issue = next_issue
                         a = avail[rs1]
@@ -1486,197 +1387,198 @@ class BlockEngine:
                         if a > issue:
                             issue = a
                         stall += issue - next_issue
-                        # MMIO is uncached on every core: one bus beat.
-                        if issue >= tl_last:
-                            tl_last = issue
-                        if tl_last >= tl_scan:
-                            tl_append(tl_last)
-                        tl_marks += 1
-                        cycle = issue
-                        next_issue = issue + 1
-                        done += 1
-                        rc = 3
-                        break  # halt/msip/mtimecmp may have changed
-                    if addr & 3 or addr + 4 > memsize:
-                        mem.write(addr, regs[rs2], 4)  # raises exactly
-                    data[addr:addr + 4] = regs[rs2].to_bytes(4, "little")
-                    stores += 1
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if cached and not unc_lo <= addr < unc_hi:
-                        # Write-through, no allocate: only a hit moves
-                        # the D$; the bus beat below is paid either way.
-                        line = addr // line_bytes
-                        ways = dget(lines, line % nsets)
-                        if ways and ways[-1] == line:
-                            hits += 1
-                        else:
-                            lookup(addr, True)
-                    if issue >= tl_last:
-                        tl_last = issue
-                    if tl_last >= tl_scan:
-                        tl_append(tl_last)
-                    tl_marks += 1
-                    cycle = issue
-                    next_issue = issue + 1
-                    done += 1
-                    word = addr & _WORD
-                    if word in decoded or word in addr_map:
-                        core.invalidate_code(word)  # self-modifying store
-                        rc = 2
-                        break
-                    if cycle >= bail:
-                        rc = 2
-                        break
-                    continue
-                elif kind == K_BRANCH:
-                    branches += 1
-                    taken = fn(regs[rs1], regs[rs2])
-                    if taken:
-                        takenb += 1
-                        core.pc = (instr.addr + imm) & MASK32
-                        pc_set = True
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if cached:
-                        # Bimodal predictor, as ``predict_and_update``.
-                        index = (instr.addr >> 2) % entries
-                        counter = dget(counters, index, 1)
-                        if taken:
-                            counters[index] = counter + 1 if counter < 3 else 3
-                            miss = counter < 2
-                        else:
-                            counters[index] = counter - 1 if counter else 0
-                            miss = counter > 1
-                        preds += 1
-                        if miss:
-                            mps += 1
-                            cycle = issue + mp_pen
-                        else:
-                            cycle = issue
-                    else:
-                        cycle = issue + (taken_pen if taken else 0)
-                    next_issue = cycle + 1
-                elif kind == K_JAL:
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if rd:
-                        regs[rd] = (instr.addr + 4) & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = issue
-                    core.pc = (instr.addr + imm) & MASK32
-                    pc_set = True
-                    cycle = issue + jump_pen
-                    next_issue = cycle + 1
-                elif kind == K_JALR:
-                    target = (regs[rs1] + imm) & MASK32 & ~1
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if rd:
-                        regs[rd] = (instr.addr + 4) & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = issue
-                    core.pc = target
-                    pc_set = True
-                    cycle = issue + jump_pen
-                    next_issue = cycle + 1
-                elif kind == K_LBH:
-                    size, sign_bit, sign_sub = fn
-                    addr = (regs[rs1] + imm) & MASK32
-                    if addr in mmio:
-                        core.cycle = cycle
-                        value = mem.read(addr, size)
-                    elif addr % size or addr + size > memsize:
-                        value = mem.read(addr, size)  # raises exactly
-                    else:
-                        value = int.from_bytes(data[addr:addr + size],
-                                               "little")
-                    if sign_bit and value & sign_bit:
-                        value -= sign_sub
-                    if rd:
-                        regs[rd] = value & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                    loads += 1
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if cached:
-                        if addr in mmio or unc_lo <= addr < unc_hi:
-                            if issue >= tl_last:
-                                tl_last = issue
-                            if tl_last >= tl_scan:
-                                tl_append(tl_last)
-                            tl_marks += 1
-                            rlat = unc_lat
-                        else:
+                        if cached and not unc_lo <= addr < unc_hi:
+                            # Write-through, no allocate: only a hit moves
+                            # the D$; the bus beat below is paid either way.
                             line = addr // line_bytes
                             ways = dget(lines, line % nsets)
                             if ways and ways[-1] == line:
                                 hits += 1
-                                rlat = load_lat
-                            elif lookup(addr, False):
-                                rlat = load_lat
                             else:
-                                for beat in range(issue, issue + line_words):
-                                    if beat > tl_last:
-                                        tl_last = beat
-                                    if tl_last >= tl_scan:
-                                        tl_append(tl_last)
-                                tl_marks += line_words
-                                rlat = miss_lat
-                        if rd:
-                            avail[rd] = issue + rlat
-                    else:
+                                lookup(addr, True)
                         if issue >= tl_last:
                             tl_last = issue
                         if tl_last >= tl_scan:
                             tl_append(tl_last)
                         tl_marks += 1
+                        cycle = issue
+                        next_issue = issue + 1
+                        done += 1
+                        word = addr & _WORD
+                        if word in decoded or word in addr_map:
+                            core.invalidate_code(word)  # self-modifying store
+                            break
+                        if cycle >= bail:
+                            break
+                        continue
+                    elif kind == K_BRANCH:
+                        branches += 1
+                        taken = fn(regs[rs1], regs[rs2])
+                        if taken:
+                            takenb += 1
+                            pc = (instr.addr + imm) & MASK32
+                            pc_set = True
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - next_issue
+                        if cached:
+                            # Bimodal predictor, as ``predict_and_update``.
+                            index = (instr.addr >> 2) % entries
+                            counter = dget(counters, index, 1)
+                            if taken:
+                                counters[index] = (counter + 1 if counter < 3
+                                                   else 3)
+                                miss = counter < 2
+                            else:
+                                counters[index] = counter - 1 if counter else 0
+                                miss = counter > 1
+                            preds += 1
+                            if miss:
+                                mps += 1
+                                cycle = issue + mp_pen
+                            else:
+                                cycle = issue
+                        else:
+                            cycle = issue + (taken_pen if taken else 0)
+                        next_issue = cycle + 1
+                    elif kind == K_JAL:
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - next_issue
                         if rd:
-                            avail[rd] = issue + load_lat
-                    cycle = issue
-                    next_issue = issue + 1
-                elif kind == K_SBH:
-                    size = fn
-                    addr = (regs[rs1] + imm) & MASK32
-                    if addr in mmio:
-                        core.cycle = cycle
-                        mem.write(addr, regs[rs2], size)
+                            regs[rd] = (instr.addr + 4) & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = issue
+                        pc = (instr.addr + imm) & MASK32
+                        pc_set = True
+                        cycle = issue + jump_pen
+                        next_issue = cycle + 1
+                    elif kind == K_JALR:
+                        target = (regs[rs1] + imm) & MASK32 & ~1
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - next_issue
+                        if rd:
+                            regs[rd] = (instr.addr + 4) & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = issue
+                        pc = target
+                        pc_set = True
+                        cycle = issue + jump_pen
+                        next_issue = cycle + 1
+                    elif kind == K_LBH:
+                        size, sign_bit, sign_sub = fn
+                        addr = (regs[rs1] + imm) & MASK32
+                        if addr in mmio:
+                            core.cycle = cycle
+                            value = mem.read(addr, size)
+                        elif addr % size or addr + size > memsize:
+                            value = mem.read(addr, size)  # raises exactly
+                        else:
+                            value = int.from_bytes(data[addr:addr + size],
+                                                   "little")
+                        if sign_bit and value & sign_bit:
+                            value -= sign_sub
+                        if rd:
+                            regs[rd] = value & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                        loads += 1
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - next_issue
+                        if cached:
+                            if addr in mmio or unc_lo <= addr < unc_hi:
+                                if issue >= tl_last:
+                                    tl_last = issue
+                                if tl_last >= tl_scan:
+                                    tl_append(tl_last)
+                                tl_marks += 1
+                                rlat = unc_lat
+                            else:
+                                line = addr // line_bytes
+                                ways = dget(lines, line % nsets)
+                                if ways and ways[-1] == line:
+                                    hits += 1
+                                    rlat = load_lat
+                                elif lookup(addr, False):
+                                    rlat = load_lat
+                                else:
+                                    for beat in range(issue,
+                                                      issue + line_words):
+                                        if beat > tl_last:
+                                            tl_last = beat
+                                        if tl_last >= tl_scan:
+                                            tl_append(tl_last)
+                                    tl_marks += line_words
+                                    rlat = miss_lat
+                            if rd:
+                                avail[rd] = issue + rlat
+                        else:
+                            if issue >= tl_last:
+                                tl_last = issue
+                            if tl_last >= tl_scan:
+                                tl_append(tl_last)
+                            tl_marks += 1
+                            if rd:
+                                avail[rd] = issue + load_lat
+                        cycle = issue
+                        next_issue = issue + 1
+                    elif kind == K_SBH:
+                        size = fn
+                        addr = (regs[rs1] + imm) & MASK32
+                        if addr in mmio:
+                            core.cycle = cycle
+                            mem.write(addr, regs[rs2], size)
+                            stores += 1
+                            issue = next_issue
+                            a = avail[rs1]
+                            if a > issue:
+                                issue = a
+                            a = avail[rs2]
+                            if a > issue:
+                                issue = a
+                            stall += issue - next_issue
+                            if issue >= tl_last:
+                                tl_last = issue
+                            if tl_last >= tl_scan:
+                                tl_append(tl_last)
+                            tl_marks += 1
+                            cycle = issue
+                            next_issue = issue + 1
+                            done += 1
+                            stale = True
+                            break
+                        if addr % size or addr + size > memsize:
+                            mem.write(addr, regs[rs2], size)  # raises exactly
+                        mask = (1 << (8 * size)) - 1
+                        data[addr:addr + size] = (regs[rs2] & mask).to_bytes(
+                            size, "little")
                         stores += 1
                         issue = next_issue
                         a = avail[rs1]
@@ -1686,6 +1588,13 @@ class BlockEngine:
                         if a > issue:
                             issue = a
                         stall += issue - next_issue
+                        if cached and not unc_lo <= addr < unc_hi:
+                            line = addr // line_bytes
+                            ways = dget(lines, line % nsets)
+                            if ways and ways[-1] == line:
+                                hits += 1
+                            else:
+                                lookup(addr, True)
                         if issue >= tl_last:
                             tl_last = issue
                         if tl_last >= tl_scan:
@@ -1694,159 +1603,143 @@ class BlockEngine:
                         cycle = issue
                         next_issue = issue + 1
                         done += 1
-                        rc = 3
-                        break
-                    if addr % size or addr + size > memsize:
-                        mem.write(addr, regs[rs2], size)  # raises exactly
-                    mask = (1 << (8 * size)) - 1
-                    data[addr:addr + size] = (regs[rs2] & mask).to_bytes(
-                        size, "little")
-                    stores += 1
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if cached and not unc_lo <= addr < unc_hi:
-                        line = addr // line_bytes
-                        ways = dget(lines, line % nsets)
-                        if ways and ways[-1] == line:
-                            hits += 1
-                        else:
-                            lookup(addr, True)
-                    if issue >= tl_last:
-                        tl_last = issue
-                    if tl_last >= tl_scan:
-                        tl_append(tl_last)
-                    tl_marks += 1
-                    cycle = issue
-                    next_issue = issue + 1
+                        word = addr & _WORD
+                        if word in decoded or word in addr_map:
+                            core.invalidate_code(word)
+                            break
+                        if cycle >= bail:
+                            break
+                        continue
+                    elif kind == K_MUL:
+                        value = fn(regs[rs1], regs[rs2])
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - next_issue
+                        if rd:
+                            regs[rd] = value & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = issue + mul_lat
+                        cycle = issue
+                        next_issue = issue + 1
+                    elif kind == K_DIV:
+                        value = fn(regs[rs1], regs[rs2])
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - next_issue
+                        if rd:
+                            regs[rd] = value & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = issue
+                        cycle = issue + div_cyc
+                        next_issue = cycle + 1
+                    elif kind == K_CSR:
+                        # Zicsr: effects via the prebuilt closure, timing as
+                        # in ``_time``'s CSR arm (zero result latency,
+                        # ``csr_cycles - 1`` completion penalty).
+                        old = fn(regs[rs1])
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - next_issue
+                        if rd:
+                            regs[rd] = old
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = issue
+                        cycle = issue + csr_pen
+                        next_issue = cycle + 1
+                        if imm:
+                            # mstatus/mie write: interrupts may have been
+                            # enabled or masked — resync the horizon in
+                            # place and keep going under the new bail.
+                            stale = True
+                            core.cycle = cycle
+                            h = self._horizon()
+                            bail = h if h < limit else limit
+                    elif kind == K_CUSTOM or kind == K_CUSTOM_BRK:
+                        if kind == K_CUSTOM_BRK:
+                            # May reschedule (bank switch / context restore):
+                            # run the exact path and end the block.
+                            core.cycle = cycle
+                            core.next_issue = next_issue
+                            core.pc = instr.addr
+                            core._step_custom(instr)
+                            cycle = core.cycle
+                            next_issue = core.next_issue
+                            pc = core.pc
+                            pc_set = True
+                            done += 1
+                            stale = True
+                            break
+                        # Block-resident: same issue/commit arithmetic as
+                        # ``_step_custom``, effects via the per-op handler.
+                        issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        issue += custom_delay
+                        rdv, complete = fn(regs[rs1], regs[rs2], issue)
+                        if complete < issue:
+                            complete = issue
+                        if rd:
+                            regs[rd] = rdv & MASK32
+                            regw += 1
+                            if track_dirty:
+                                dirty |= 1 << rd
+                            avail[rd] = complete + 1
+                        customs += 1
+                        tl_scan = timeline._scan  # the FSMs may have consumed
+                        cycle = complete
+                        next_issue = complete + 1
+                        if imm:
+                            # Restored MSTATUS/MEPC — resync the horizon in
+                            # place and keep going under the new bail.
+                            stale = True
+                            core.cycle = cycle
+                            h = self._horizon()
+                            bail = h if h < limit else limit
                     done += 1
-                    word = addr & _WORD
-                    if word in decoded or word in addr_map:
-                        core.invalidate_code(word)
-                        rc = 2
-                        break
                     if cycle >= bail:
-                        rc = 2
                         break
-                    continue
-                elif kind == K_MUL:
-                    value = fn(regs[rs1], regs[rs2])
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if rd:
-                        regs[rd] = value & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = issue + mul_lat
-                    cycle = issue
-                    next_issue = issue + 1
-                elif kind == K_DIV:
-                    value = fn(regs[rs1], regs[rs2])
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if rd:
-                        regs[rd] = value & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = issue
-                    cycle = issue + div_cyc
-                    next_issue = cycle + 1
-                elif kind == K_CSR:
-                    # Zicsr: effects via the prebuilt closure, timing as
-                    # in ``_time``'s CSR arm (zero result latency,
-                    # ``csr_cycles - 1`` completion penalty).
-                    old = fn(regs[rs1])
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    stall += issue - next_issue
-                    if rd:
-                        regs[rd] = old
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = issue
-                    cycle = issue + csr_pen
-                    next_issue = cycle + 1
-                    if imm:
-                        # mstatus/mie write: interrupts may have been
-                        # enabled or masked — resync the horizon in
-                        # place and keep going under the new bail.
-                        hflip = 1
-                        core.cycle = cycle
-                        h = self._horizon()
-                        bail = h if h < limit else limit
-                elif kind == K_CUSTOM or kind == K_CUSTOM_BRK:
-                    if kind == K_CUSTOM_BRK:
-                        # May reschedule (bank switch / context restore):
-                        # run the exact path and end the block.
-                        core.cycle = cycle
-                        core.next_issue = next_issue
-                        core.pc = instr.addr
-                        core._step_custom(instr)
-                        cycle = core.cycle
-                        next_issue = core.next_issue
+                else:
+                    # Clean completion: chain into the next cached block
+                    # with dispatch's probe, hit count and LRU refresh.
+                    if not pc_set:
+                        pc = (instr.addr + 4) & MASK32
                         pc_set = True
-                        done += 1
-                        rc = 3
-                        break
-                    # Block-resident: same issue/commit arithmetic as
-                    # ``_step_custom``, effects via the per-op handler.
-                    issue = next_issue
-                    a = avail[rs1]
-                    if a > issue:
-                        issue = a
-                    a = avail[rs2]
-                    if a > issue:
-                        issue = a
-                    issue += custom_delay
-                    rdv, complete = fn(regs[rs1], regs[rs2], issue)
-                    if complete < issue:
-                        complete = issue
-                    if rd:
-                        regs[rd] = rdv & MASK32
-                        regw += 1
-                        if track_dirty:
-                            dirty |= 1 << rd
-                        avail[rd] = complete + 1
-                    customs += 1
-                    tl_scan = timeline._scan  # the FSMs may have consumed
-                    cycle = complete
-                    next_issue = complete + 1
-                    if imm:
-                        # Restored MSTATUS/MEPC — resync the horizon in
-                        # place and keep going under the new bail.
-                        hflip = 1
-                        core.cycle = cycle
-                        h = self._horizon()
-                        bail = h if h < limit else limit
-                done += 1
-                if cycle >= bail:
-                    rc = 2
-                    break
+                    if stale:
+                        break  # dispatch recomputes the horizon
+                    block = dget(cache, pc)
+                    if block is None:
+                        break  # slow or not built yet: dispatch decides
+                    if len(cache) >= cap:
+                        cache.move_to_end(pc)
+                    chained += 1
+                    pc_set = False
+                    continue
+                break
         except BaseException:
             # Exact-path contract: a faulting instruction leaves pc at its
             # own address and the cycle at the previous completion.
@@ -1867,12 +1760,6 @@ class BlockEngine:
                     if mps:
                         predictor.mispredictions += mps
                         stats.mispredicts += mps
-            if hflip:
-                # A horizon-writing record ran: dispatch's cached
-                # horizon is stale whichever way the block ended (and
-                # the block must not count toward superblock promotion —
-                # its bail moved mid-run).
-                rc = 3
             stats.instret += done
             stats.loads += loads
             stats.stores += stores
@@ -1885,6 +1772,8 @@ class BlockEngine:
             if dirty:
                 core.dirty_mask |= dirty
             self.fast_instret += done
-        if not pc_set:
-            core.pc = (instr.addr + 4) & MASK32
-        return rc
+            if chained:
+                self.hits += chained
+                self.chained += chained
+        core.pc = pc if pc_set else (instr.addr + 4) & MASK32
+        return stale

@@ -189,6 +189,29 @@ class System:
         """Run to completion; returns the exit code from the HALT store."""
         return self.core.run(max_cycles=max_cycles)
 
+    def release(self) -> None:
+        """Drop the back-references that put this system in reference cycles.
+
+        The memory routes MMIO to the system and reports code writes to
+        bound core methods, the CLINT, RTOSUnit and block engine point
+        back at the core, and the engine keeps bound methods of itself
+        and of the RTOSUnit. Without those edges a finished system is
+        freed by reference counting as soon as its last reference goes,
+        instead of waiting for the cyclic collector. The system cannot
+        run again afterwards.
+        """
+        memory = self.memory
+        memory.clint = None
+        memory.code_watch = None
+        memory.code_watch_range = None
+        self.clint._core = None
+        if self.unit is not None:
+            self.unit.core = None
+            self.unit.word_cost = None
+        engine = self.core.block_engine
+        if engine is not None:
+            engine.release()
+
     def perf_counters(self) -> dict:
         """Simulator-side performance counters of the attached core.
 

@@ -134,21 +134,26 @@ def run_workload(core: str, config: RTOSUnitConfig, workload: Workload,
 
     Every call simulates from a freshly built system. Repeats of a
     content are answered above this function, by the DSE
-    :class:`repro.dse.cache.ResultCache` and the service coalescer.
+    :class:`repro.dse.cache.ResultCache` and the service coalescer. The
+    system is released (:meth:`System.release`) before the call
+    returns or raises, so reference counting frees it at once.
     """
     builder = KernelBuilder(config=config, objects=workload.objects,
                             layout=layout or MemoryLayout(),
                             tick_period=workload.tick_period)
     system = builder.build(core, external_events=workload.external_events)
-    if guard is not None:
-        system.core.guard = guard
-    exit_code = system.run(max_cycles=workload.max_cycles)
-    if exit_code not in (0, 42):
-        raise SimulationError(
-            f"workload {workload.name} on {core}/{config.name} exited "
-            f"with {exit_code:#x}",
-            pc=system.core.pc, cycle=system.core.cycle)
-    return _result_from(system, core, config, workload, seed)
+    try:
+        if guard is not None:
+            system.core.guard = guard
+        exit_code = system.run(max_cycles=workload.max_cycles)
+        if exit_code not in (0, 42):
+            raise SimulationError(
+                f"workload {workload.name} on {core}/{config.name} exited "
+                f"with {exit_code:#x}",
+                pc=system.core.pc, cycle=system.core.cycle)
+        return _result_from(system, core, config, workload, seed)
+    finally:
+        system.release()
 
 
 def _resolve_workloads(workloads, iterations: int) -> list[Workload]:

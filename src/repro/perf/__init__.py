@@ -10,6 +10,7 @@ from repro.perf.instrument import (
     OpcodeAttributor,
     PerfReport,
     compare_reports,
+    first_difference,
     format_report,
     profile_workload,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "PerfReport",
     "bench_record",
     "compare_reports",
+    "first_difference",
     "format_report",
     "host_info",
     "profile_workload",

@@ -38,6 +38,10 @@ class PerfReport:
     cycles: int
     instret: int
     counters: dict
+    #: ``(trigger, entry, mret)`` cycles of every context switch.
+    switches: list = field(default_factory=list)
+    #: ``vars(core.stats)`` at the end of the run.
+    core_stats: dict = field(default_factory=dict)
     opcode_cycles: dict = field(default_factory=dict)
     opcode_counts: dict = field(default_factory=dict)
     block_report: dict = field(default_factory=dict)
@@ -127,7 +131,7 @@ def profile_workload(core: str, config: RTOSUnitConfig, workload: Workload,
     path. ``cprofile`` captures a host-level profile of the hottest
     simulator functions. ``block_stats`` turns on the engine's per-PC
     slow-path counter and fills :attr:`PerfReport.block_report` with
-    cache hit rate, the superblock census and the top slow PCs
+    cache hit rate, the chained block transitions and the top slow PCs
     classified by opcode — the starting data for a slow-path hunt
     (docs/PERF.md).
 
@@ -184,6 +188,8 @@ def profile_workload(core: str, config: RTOSUnitConfig, workload: Workload,
         cycles=cpu.cycle,
         instret=cpu.stats.instret,
         counters=cpu.perf_counters(),
+        switches=list(cpu.switch_events),
+        core_stats=dict(vars(cpu.stats)),
         opcode_cycles=attributor.cycles if attributor else {},
         opcode_counts=attributor.counts if attributor else {},
         block_report=block_report,
@@ -196,7 +202,7 @@ TOP_SLOW_PCS = 10
 
 
 def _block_report(cpu) -> dict:
-    """Block/superblock telemetry for one finished run.
+    """Block-cache and chaining telemetry for one finished run.
 
     The top slow PCs are ranked by exact-path dispatch count; each is
     classified via :func:`repro.isa.instructions.opclass` so the report
@@ -220,9 +226,7 @@ def _block_report(cpu) -> dict:
     return {
         "hit_rate": counters["block_hit_rate"],
         "blocks_cached": counters["blocks_cached"],
-        "superblocks": counters["superblocks"],
-        "superblocks_cached": counters["superblocks_cached"],
-        "side_exits": counters["side_exits"],
+        "chained": counters["chained"],
         "slow_pcs": slow_rows,
     }
 
@@ -253,10 +257,9 @@ def format_report(report: PerfReport) -> str:
     if report.block_report:
         b = report.block_report
         lines.append(
-            f"  tiered blocks   hit rate {b['hit_rate'] * 100.0:.1f}%, "
-            f"{b['blocks_cached']} blocks cached "
-            f"({b['superblocks_cached']} superblocks; "
-            f"{b['superblocks']} promoted, {b['side_exits']} side exits)")
+            f"  block chaining  {b['chained']} transitions inside the "
+            f"executors (hit rate {b['hit_rate'] * 100.0:.1f}%, "
+            f"{b['blocks_cached']} blocks cached)")
         if b["slow_pcs"]:
             lines.append("  top slow-path PCs (exact-path dispatches):")
             for row in b["slow_pcs"]:
@@ -279,15 +282,40 @@ def format_report(report: PerfReport) -> str:
     return "\n".join(lines)
 
 
+def first_difference(on: PerfReport, off: PerfReport) -> str | None:
+    """The first simulated result on which *on* and *off* differ, or None.
+
+    Compares the final cycle count and retired instructions, every
+    context switch's trigger, entry and mret cycles, and every core
+    statistic, in that order.
+    """
+    if on.cycles != off.cycles:
+        return f"cycles {on.cycles} != {off.cycles}"
+    if on.instret != off.instret:
+        return f"instret {on.instret} != {off.instret}"
+    if len(on.switches) != len(off.switches):
+        return f"switches {len(on.switches)} != {len(off.switches)}"
+    for index, (a, b) in enumerate(zip(on.switches, off.switches)):
+        for name, x, y in zip(("trigger", "entry", "mret"), a, b):
+            if x != y:
+                return f"switch {index} {name} cycle {x} != {y}"
+    for name, x in on.core_stats.items():
+        y = off.core_stats[name]
+        if x != y:
+            return f"stats.{name} {x} != {y}"
+    return None
+
+
 def compare_reports(on: PerfReport, off: PerfReport) -> str:
     """Render an on/off pair with the identity + speedup summary."""
-    identical = (on.cycles == off.cycles and on.instret == off.instret)
+    diff = first_difference(on, off)
     speedup = on.ips / off.ips if off.ips else 0.0
+    verdict = ("cycles, switches and core stats identical" if diff is None
+               else f"DIFFER -- BUG: {diff} (blocks on vs off)")
     return "\n".join([
         format_report(off),
         "",
         format_report(on),
         "",
-        f"  speedup         {speedup:10.2f} x  "
-        f"(cycles {'identical' if identical else 'DIFFER -- BUG'})",
+        f"  speedup         {speedup:10.2f} x  ({verdict})",
     ])

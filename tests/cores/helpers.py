@@ -36,16 +36,6 @@ def run_regs(source: str, **kwargs):
     return run_fragment(source, **kwargs).core.regs
 
 
-def loop_superblocks(engine):
-    """Cached superblocks whose trace re-enters its own head.
-
-    A closed loop unrolls into repeats of its iteration, so the head's
-    entry PC appears more than once in ``segs``.
-    """
-    return [block for block in engine.cache.values()
-            if block.segs is not None and block.segs.count(block.entry) > 1]
-
-
 def timing_state(core):
     """The timing-model state of *core*, read field by field.
 

@@ -11,9 +11,7 @@ import dataclasses
 import pytest
 
 from repro.cores import CORE_CLASSES
-from repro.cores.blocks import (K_LINK, MAX_BLOCK_INSTRS,
-                                SUPERBLOCK_MAX_RECORDS,
-                                SUPERBLOCK_MAX_SEGMENTS, BlockEngine)
+from repro.cores.blocks import BlockEngine
 from repro.cores.system import System
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultSpec
@@ -21,7 +19,7 @@ from repro.isa.assembler import assemble
 from repro.kernel.builder import KernelBuilder
 from repro.rtosunit.config import parse_config
 from repro.workloads.suite import workload_by_name
-from tests.cores.helpers import HALT_TAIL, loop_superblocks
+from tests.cores.helpers import HALT_TAIL
 
 
 def _encoding(line: str) -> int:
@@ -48,7 +46,9 @@ def _state(system):
     return (core.cycle, vars(core.stats).copy(), list(core.regs), core.pc)
 
 
-#: Hot loops that close on their own head: 60 trips, enough to promote.
+#: Loops of 60 trips that chain: the self-loop's block is its own
+#: successor, the two-block loop's mid-loop branch splits each trip into
+#: two blocks that chain into each other.
 SELF_LOOP = """
     li   s0, 60
 loop:
@@ -186,60 +186,75 @@ loop:
         assert word in core._decode_cache
 
 
-class TestSuperblockInvalidation:
-    """Promoted superblocks obey the same lockstep invalidation contract
-    as plain blocks: any write into a covered range — raw poke, fault
-    flip or self-modifying store — must drop every chained trace."""
+class TestChainedInvalidation:
+    """Chaining keeps no state of its own: every transition probes the
+    block cache again. A raw write or fault flip into a block that a
+    loop chains into drops it like any other block, and the next
+    transition into it misses, so dispatch rebuilds it."""
 
-    def _hot_system(self, source):
-        """Run a loop long enough to promote its back-edge superblock.
-
-        Both hot loops close on their own head, so the superblock is the
-        loop unrolled: the self-loop repeats its one block, the
-        two-block loop (split by its mid-loop branch) repeats the pair.
-        """
-        system = _run(source)
-        supers = loop_superblocks(system.core.block_engine)
-        assert supers
-        return system, supers[0]
-
-    def _assert_raw_write_drops(self, source):
-        system, sb = self._hot_system(source)
-        engine = system.core.block_engine
-        # Dirty the *last* covered word so the whole chain must go, not
-        # just the head segment.
-        word = sb.addrs[-1]
-        system.memory.write_word_raw(word, _encoding("nop"))
+    def _assert_drops_then_misses(self, source, label, poke, core):
+        """Run a chaining loop, then *poke* the last word of its block
+        at *label* (the self-loop's own block, or the two-block loop's
+        mid-loop successor)."""
+        program = assemble(source + HALT_TAIL, origin=0)
+        system = _run(source, core=core)
+        core = system.core
+        engine = core.block_engine
+        assert engine.chained > 0
+        block = engine.cache[program.symbol(label)]
+        word = block.addrs[-1]
+        poke(system, word)
         assert all(word not in b.addrs for b in engine.cache.values())
-        assert sb.entry not in engine.cache
+        assert block.entry not in engine.cache
+        # Three more trips from the loop head: the dropped block is
+        # rebuilt once, on its next entry, and chains again.
+        misses, chained = engine.misses, engine.chained
+        core.regs[8] = 3  # s0: trips left
+        core.pc = program.symbol("loop")
+        core.halted = False
+        system.run(max_cycles=200_000)
+        assert core.halted
+        assert engine.misses == misses + 1
+        assert block.entry in engine.cache
+        assert engine.chained > chained
 
-    def _assert_fault_flip_drops(self, source):
-        system, sb = self._hot_system(source)
-        engine = system.core.block_engine
-        word = sb.addrs[-1]
+    @staticmethod
+    def _raw_write(system, word):
+        # The same encoding: the write drops the block, the program
+        # stays as it was.
+        system.memory.write_word_raw(word, system.memory.read_word_raw(word))
+
+    @staticmethod
+    def _fault_flip(system, word):
         injector = FaultInjector(
             system, [FaultSpec(kind="mem_flip", cycle=0, target=word, bit=3)])
         injector.on_step(system.core)
         assert injector.done
-        assert all(word not in b.addrs for b in engine.cache.values())
-        assert sb.entry not in engine.cache
 
-    def test_raw_write_drops_covering_superblock(self):
-        self._assert_raw_write_drops(TWO_BLOCK_LOOP)
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_raw_write_drops_chained_successor(self, core):
+        self._assert_drops_then_misses(TWO_BLOCK_LOOP, "mid",
+                                       self._raw_write, core)
 
-    def test_raw_write_drops_self_loop_superblock(self):
-        self._assert_raw_write_drops(SELF_LOOP)
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_raw_write_drops_chained_self_loop(self, core):
+        self._assert_drops_then_misses(SELF_LOOP, "loop", self._raw_write,
+                                       core)
 
-    def test_fault_flip_drops_covering_superblock(self):
-        self._assert_fault_flip_drops(TWO_BLOCK_LOOP)
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_fault_flip_drops_chained_successor(self, core):
+        self._assert_drops_then_misses(TWO_BLOCK_LOOP, "mid",
+                                       self._fault_flip, core)
 
-    def test_fault_flip_drops_self_loop_superblock(self):
-        self._assert_fault_flip_drops(SELF_LOOP)
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_fault_flip_drops_chained_self_loop(self, core):
+        self._assert_drops_then_misses(SELF_LOOP, "loop", self._fault_flip,
+                                       core)
 
     def test_smc_after_promotion_stays_exact(self):
-        """A loop hot enough to be promoted patches its own body on a
-        second pass: the stale superblock must never replay the old
-        encoding, and both dispatch modes must agree bit-for-bit."""
+        """A chained loop patches its own body on a second pass: no
+        transition may re-enter the stale block, and both dispatch
+        modes must agree bit-for-bit."""
         patch = _encoding("addi s1, s1, 50")
         source = f"""
     li   s0, 24
@@ -268,15 +283,15 @@ done:
         # 24 original + 8 patched iterations.
         assert on.core.regs[9] == 24 + 8 * 50
         engine = on.core.block_engine
-        assert engine.superblocks > 0
+        assert engine.chained > 0
         assert engine.invalidations >= 1
 
     @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
     def test_smc_into_self_loop_tail_stays_exact(self, core):
-        """A promoted self-loop's back-edge (its superblock's last word)
-        is patched to branch to the loop's second instruction: the
-        unrolled superblock must drop, and every later trip must skip
-        the first instruction in both dispatch modes."""
+        """A chained self-loop's back-edge (its block's last word) is
+        patched to branch to the loop's second instruction: the block
+        must drop, and every later trip must skip the first
+        instruction in both dispatch modes."""
         patch = assemble("""
 skip:
     addi s0, s0, -1
@@ -307,111 +322,8 @@ done:
         # 24 original trips + the first instruction of the patched pass.
         assert on.core.regs[9] == 24 + 1
         engine = on.core.block_engine
-        assert engine.superblocks > 0
+        assert engine.chained > 0
         assert engine.invalidations >= 1
-
-
-#: Counted loops: a 40-trip pass promotes the loop superblock, then a
-#: second pass of ``{trips}`` trips leaves it at the guard that trip
-#: count reaches. Keyed by shape, with the blocks per iteration.
-COUNTED_LOOPS = {
-    "self_loop": (1, """
-    li   s0, 40
-    li   s2, 2
-loop:
-    addi s1, s1, 3
-    addi s0, s0, -1
-    bnez s0, loop
-    addi s2, s2, -1
-    li   s0, {trips}
-    bnez s2, loop
-"""),
-    "two_block_bnez": (2, """
-    li   s0, 40
-    li   s2, 2
-loop:
-    addi s1, s1, 3
-    bnez s1, mid
-mid:
-    addi s0, s0, -1
-    bnez s0, loop
-    addi s2, s2, -1
-    li   s0, {trips}
-    bnez s2, loop
-"""),
-    "two_block_beqz_j": (2, """
-    li   s0, 40
-    li   s2, 2
-loop:
-    addi s1, s1, 3
-    addi s0, s0, -1
-    beqz s0, out
-    j    loop
-out:
-    addi s2, s2, -1
-    li   s0, {trips}
-    bnez s2, loop
-"""),
-}
-
-
-class TestLoopSuperblocks:
-    """A trace that returns to its own head unrolls into whole
-    iterations within the superblock caps. Every back-edge is an
-    ordinary ``K_LINK`` guard, so a loop may leave at any of them."""
-
-    def _loop_superblock(self, source):
-        system = _run(source)
-        (sb,) = loop_superblocks(system.core.block_engine)
-        return sb
-
-    def test_self_loop_unrolls_to_segment_cap(self):
-        sb = self._loop_superblock(SELF_LOOP)
-        assert sb.segs == (sb.entry,) * SUPERBLOCK_MAX_SEGMENTS
-        links = [rec for rec in sb.records if rec[0] == K_LINK]
-        # One guard per back-edge, each expecting the head again.
-        assert len(links) == SUPERBLOCK_MAX_SEGMENTS - 1
-        assert all(rec[4] == sb.entry for rec in links)
-        assert len(sb.records) == 3 * SUPERBLOCK_MAX_SEGMENTS + len(links)
-        assert len(set(sb.addrs)) == 3
-
-    def test_two_block_loop_unrolls_whole_iterations(self):
-        sb = self._loop_superblock(TWO_BLOCK_LOOP)
-        iteration = sb.segs[:2]
-        assert iteration[0] == sb.entry and iteration[1] != sb.entry
-        assert sb.segs == iteration * (SUPERBLOCK_MAX_SEGMENTS // 2)
-
-    def test_record_cap_bounds_the_unroll(self):
-        """A full-size self-loop block repeats only as often as
-        ``SUPERBLOCK_MAX_RECORDS`` allows."""
-        body = "    addi s1, s1, 1\n" * (MAX_BLOCK_INSTRS - 2)
-        sb = self._loop_superblock(f"""
-    li   s0, 40
-loop:
-{body}    addi s0, s0, -1
-    bnez s0, loop
-""")
-        repeats = SUPERBLOCK_MAX_RECORDS // MAX_BLOCK_INSTRS
-        assert 1 < repeats < SUPERBLOCK_MAX_SEGMENTS
-        assert sb.segs == (sb.entry,) * repeats
-        body_records = [rec for rec in sb.records if rec[0] != K_LINK]
-        assert len(body_records) == repeats * MAX_BLOCK_INSTRS
-
-    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
-    @pytest.mark.parametrize("shape", sorted(COUNTED_LOOPS))
-    def test_every_exit_guard_stays_exact(self, shape, core):
-        """Trip counts 1 .. 2 x unroll + 1 leave the unrolled loop at
-        every guard position, at its end, and after whole repeats."""
-        blocks_per_iteration, template = COUNTED_LOOPS[shape]
-        unroll = SUPERBLOCK_MAX_SEGMENTS // blocks_per_iteration
-        for trips in range(1, 2 * unroll + 2):
-            source = template.format(trips=trips)
-            on = _run(source, core=core, blocks=True)
-            off = _run(source, core=core, blocks=False)
-            assert _state(on) == _state(off), (shape, trips)
-            assert on.core.regs[9] == 3 * (40 + trips)
-            (sb,) = loop_superblocks(on.core.block_engine)
-            assert len(sb.segs) == unroll * blocks_per_iteration
 
 
 class TestBankSwitchBoundaries:

@@ -1,4 +1,4 @@
-"""Randomised loop oracle: unrolled loop superblocks vs the exact path.
+"""Randomised loop oracle: chained loop blocks vs the exact path.
 
 Hypothesis generates counted loops of one to three blocks per
 iteration. Bodies mix RV32IM ALU ops (``mul``/``div``/``rem``
@@ -7,18 +7,21 @@ forms on ``mscratch`` (the read-only ``rs1=x0`` and ``zimm=0`` forms
 included), which NaxRiscv's window serialises on. Blocks are split
 by jumps and by data-dependent forward branches, some of which skip an
 op, and the loop closes either with ``bnez`` or with ``beqz`` + ``j``.
-An outer loop reruns it one to three times. Each program runs with
-block dispatch on and off on all three cores; the cycle count, the
-full core stats, the registers, the buffer and the timing models' state
-must agree.
+An outer loop reruns it one to three times. A machine timer fires
+every drawn period, so interrupts land inside running chains: the
+handler, on registers the body does not touch, counts them and re-arms
+``mtimecmp`` through MMIO. Each program runs with block dispatch on and
+off on all three cores; the cycle count, the full core stats, the
+registers, the buffer and the timing models' state must agree.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cores import CORE_CLASSES
-from repro.cores.blocks import SUPERBLOCK_HOT
 from repro.cores.system import System
 from repro.isa.assembler import assemble
+from repro.isa.csr import MIP_MTIP, MSTATUS_MIE
+from repro.mem.memory import MTIME_ADDR, MTIMECMP_ADDR
 from repro.rtosunit.config import parse_config
 from tests.cores.helpers import HALT_TAIL, timing_state
 
@@ -35,8 +38,23 @@ _CSR_R = ("csrrw", "csrrs", "csrrc")
 _CSR_I = ("csrrwi", "csrrsi", "csrrci")
 
 # Work registers: x5..x15. x25 counts passes, x26 counts trips, x27
-# holds the buffer base; the halt tail uses x31.
+# holds the buffer base; the timer handler owns x28..x30 (x29 counts
+# interrupts) and the halt tail uses x31.
 _WORK = tuple(range(5, 16))
+
+#: Timer handler: count the interrupt, set ``mtimecmp`` one period past
+#: the current ``mtime``.
+_HANDLER = f"""
+handler:
+    addi x29, x29, 1
+    li   x30, {MTIME_ADDR:#x}
+    lw   x28, 0(x30)
+    li   x30, {{period}}
+    add  x28, x28, x30
+    li   x30, {MTIMECMP_ADDR:#x}
+    sw   x28, 0(x30)
+    mret
+"""
 
 _reg = st.sampled_from(_WORK)
 _offset = st.integers(0, BUF_WORDS - 1).map(lambda word: 4 * word)
@@ -60,18 +78,28 @@ _body = st.lists(_op, min_size=1, max_size=8)
 
 @st.composite
 def loop_programs(draw):
-    """Return ``(source, trips, passes)`` for one counted loop."""
+    """Return ``(source, trips, passes, period)`` for one counted loop.
+
+    The timer first fires at cycle ``period`` (the CLINT's initial
+    ``mtimecmp``), then every ``period`` cycles after the handler reads
+    ``mtime``.
+    """
     seeds = draw(st.lists(st.integers(0, MASK), min_size=len(_WORK),
                           max_size=len(_WORK)))
     buf = draw(st.lists(st.integers(0, MASK), min_size=BUF_WORDS,
                         max_size=BUF_WORDS))
     trips = draw(st.integers(1, 40))
     passes = draw(st.integers(1, 3))
+    # Longer than the handler, so the program always makes progress.
+    period = draw(st.integers(100, 2000))
     lines = ["    j    start", "buf:"]
     lines += [f"    .word {word:#010x}" for word in buf]
     lines += ["start:", "    la   x27, buf"]
     lines += [f"    li   x{reg}, {value:#x}"
               for reg, value in zip(_WORK, seeds)]
+    lines += ["    la   x28, handler", "    csrw mtvec, x28",
+              f"    li   x28, {MIP_MTIP:#x}", "    csrs mie, x28",
+              f"    csrsi mstatus, {MSTATUS_MIE:#x}"]
     lines += [f"    li   x25, {passes}", "outer:", f"    li   x26, {trips}",
               "loop:"]
     lines += draw(_body)
@@ -92,12 +120,14 @@ def loop_programs(draw):
     else:
         lines += ["    beqz x26, exit", "    j    loop", "exit:"]
     lines += ["    addi x25, x25, -1", "    bnez x25, outer"]
-    return "\n".join(lines) + "\n" + HALT_TAIL, trips, passes
+    source = ("\n".join(lines) + "\n" + HALT_TAIL
+              + _HANDLER.format(period=period))
+    return source, trips, passes, period
 
 
-def _run(program, core, blocks):
+def _run(program, core, blocks, period):
     system = System(CORE_CLASSES[core], parse_config("vanilla"),
-                    tick_period=1 << 30)
+                    tick_period=period)
     cpu = system.core
     if not blocks:
         cpu.block_engine = None
@@ -113,13 +143,15 @@ def _run(program, core, blocks):
 @settings(max_examples=150, deadline=None)
 @given(case=loop_programs())
 def test_loop_programs_identical_with_and_without_blocks(case):
-    source, trips, passes = case
+    source, trips, passes, period = case
     program = assemble(source, origin=0)
     for core in sorted(CORE_CLASSES):
-        on_system, on = _run(program, core, blocks=True)
-        _, off = _run(program, core, blocks=False)
+        on_system, on = _run(program, core, blocks=True, period=period)
+        _, off = _run(program, core, blocks=False, period=period)
         assert on == off, (core, source)
-        # The first trip of each pass enters through ``outer``, so the
-        # loop head completes (trips - 1) * passes times.
-        if (trips - 1) * passes > SUPERBLOCK_HOT:
-            assert on_system.core.block_engine.superblocks > 0
+        # Every back-edge but the first one of the first pass finds the
+        # loop head cached, so it chains unless the executor bailed in
+        # the block before it, and each bail costs one interrupt.
+        cpu = on_system.core
+        if (trips - 1) * passes - 1 > cpu.stats.traps:
+            assert cpu.block_engine.chained > 0

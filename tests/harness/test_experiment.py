@@ -1,12 +1,16 @@
 """Experiment drivers: run results, suites, sweeps."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
+from repro.cores import CORE_NAMES
 from repro.cores.system import System
 from repro.errors import SimulationError
 from repro.harness import run_suite, run_workload, sweep
+from repro.kernel.builder import KernelBuilder
 from repro.rtosunit.config import parse_config
 from repro.workloads import delay_periodic, yield_pingpong
 
@@ -16,6 +20,29 @@ def _result_key(result):
             [(s.trigger_cycle, s.entry_cycle, s.mret_cycle)
              for s in result.switches],
             result.cycles, result.instret, dict(vars(result.core_stats)))
+
+
+def _record_parts(monkeypatch):
+    """Collect weak references to every system ``run_workload`` builds:
+    the System, core, Memory, BlockEngine, Clint and RTOSUnit."""
+    parts = []
+    build = KernelBuilder.build
+
+    def recording(builder, *args, **kwargs):
+        system = build(builder, *args, **kwargs)
+        objects = [system, system.core, system.memory,
+                   system.core.block_engine, system.clint]
+        if system.unit is not None:
+            objects.append(system.unit)
+        parts.extend(weakref.ref(obj) for obj in objects)
+        return system
+
+    monkeypatch.setattr(KernelBuilder, "build", recording)
+    return parts
+
+
+def _alive(parts):
+    return [type(ref()).__name__ for ref in parts if ref() is not None]
 
 
 class TestRunWorkload:
@@ -100,6 +127,43 @@ class TestRunWorkload:
                                  "exited with 0xbad"):
             run_workload("cv32e40p", parse_config("vanilla"),
                          yield_pingpong(3))
+
+    @pytest.mark.parametrize("config_name", ("vanilla", "SLT"))
+    @pytest.mark.parametrize("core", sorted(CORE_NAMES))
+    def test_finished_system_is_freed_by_reference_counting(
+            self, core, config_name, monkeypatch):
+        """No reference cycle outlives the call: with the cyclic
+        collector off, the system and its parts are gone once
+        ``run_workload`` returns."""
+        parts = _record_parts(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            run_workload(core, parse_config(config_name), yield_pingpong(3))
+            alive = _alive(parts)
+        finally:
+            gc.enable()
+        assert len(parts) == (5 if config_name == "vanilla" else 6)
+        assert alive == []
+
+    def test_failed_system_is_freed_by_reference_counting(self,
+                                                          monkeypatch):
+        parts = _record_parts(monkeypatch)
+        monkeypatch.setattr(System, "run",
+                            lambda system, max_cycles=0: 0xBAD)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                run_workload("cv32e40p", parse_config("SLT"),
+                             yield_pingpong(3))
+            except SimulationError:
+                pass
+            alive = _alive(parts)
+        finally:
+            gc.enable()
+        assert len(parts) == 6
+        assert alive == []
 
     def test_workload_params_reach_the_build(self):
         # delay_periodic sleeps in ticks, so its run time follows the

@@ -1,12 +1,14 @@
 """Simulator-performance instrumentation: reports, attribution, CLI."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.perf import (OpcodeAttributor, compare_reports, format_report,
-                        profile_workload)
+from repro.cores.system import System
+from repro.perf import (OpcodeAttributor, compare_reports, first_difference,
+                        format_report, profile_workload)
 from repro.rtosunit.config import parse_config
 from repro.workloads.suite import workload_by_name
 
@@ -37,9 +39,23 @@ class TestProfileWorkload:
         on = _profile(blocks=True)
         off = _profile(blocks=False)
         assert (on.cycles, on.instret) == (off.cycles, off.instret)
+        assert on.switches == off.switches and on.switches
+        assert on.core_stats == off.core_stats
+        assert first_difference(on, off) is None
         rendered = compare_reports(on, off)
         assert "identical" in rendered
         assert "DIFFER" not in rendered
+
+    def test_first_difference_names_a_core_stat(self):
+        on = _profile(blocks=True)
+        stats = dict(on.core_stats, stall_cycles=on.core_stats[
+            "stall_cycles"] + 1)
+        moved = dataclasses.replace(on, core_stats=stats)
+        assert first_difference(moved, on) == (
+            f"stats.stall_cycles {stats['stall_cycles']} != "
+            f"{on.core_stats['stall_cycles']}")
+        assert "DIFFER -- BUG: stats.stall_cycles" in compare_reports(moved,
+                                                                       on)
 
     def test_opcode_attribution_forces_exact_path(self):
         report = _profile(blocks=True, opcodes=True)
@@ -115,6 +131,26 @@ class TestProfileCli:
         assert record["bench"] == "profile"
         assert record["baseline"]["blocks"] is False
         assert record["speedup"] > 0
+
+    def test_profile_compare_fails_on_a_moved_switch(self, monkeypatch,
+                                                     capsys):
+        """One switch's mret cycle moves on the blocks-on run while its
+        cycles and instret stay the same: --compare must exit 1 and
+        name the switch."""
+        run = System.run
+
+        def moved(system, *args, **kwargs):
+            code = run(system, *args, **kwargs)
+            if system.core.block_engine is not None:
+                trigger, entry, done = system.core.switch_events[0]
+                system.core.switch_events[0] = (trigger, entry, done + 1)
+            return code
+
+        monkeypatch.setattr(System, "run", moved)
+        assert main(["profile", "--workload", "yield_pingpong",
+                     "--iterations", "2", "--compare"]) == 1
+        out = capsys.readouterr().out
+        assert "DIFFER -- BUG: switch 0 mret cycle" in out
 
     def test_profile_opcodes(self, capsys):
         assert main(["profile", "--workload", "yield_pingpong",

@@ -1,67 +1,64 @@
-"""Snapshot boundaries taken while the superblock tier is warm.
+"""Snapshot boundaries taken while blocks are chaining.
 
-The tiered interpreter (docs/PERF.md) keeps no architectural state of
-its own — superblocks are pure caches over predecoded records — so a
-``System.capture()`` taken mid-run, with hot traces already promoted
-and dispatching, must restore to a state whose continued run is
-byte-identical to an uninterrupted cold run. These tests pin that
-contract on all three cores, including the OoO model, whose window the
-architectural executor keeps in locals only while a block runs and
-writes back to the core on every exit.
+The block interpreter (docs/PERF.md) keeps no architectural state of
+its own — cached blocks are pure caches over predecoded records, and
+chaining only probes that cache — so a ``System.capture()`` taken
+mid-run, with blocks already chaining, must restore to a state whose
+continued run is byte-identical to an uninterrupted cold run. These
+tests pin that contract on all three cores, including the OoO model,
+whose window the architectural executor keeps in locals only while it
+runs and writes back to the core on every exit.
 
-Two workloads warm the tier differently. ``yield_pingpong`` promotes
-straight-line kernel traces. In ``interrupt_response`` the background
-task spins in a two-instruction self-loop that unrolls into a loop
-superblock; the checkpoint waits for that superblock, so it is taken
-at the switch an external interrupt forces out of the running spin.
+Two workloads chain differently. ``yield_pingpong`` chains
+straight-line kernel blocks. In ``interrupt_response`` the background
+task spins in a two-instruction self-loop that chains into itself until
+an external interrupt lands. Each checkpoint is taken at the first
+context switch after some block has chained.
 """
 
 import pytest
 
-from tests.cores.helpers import loop_superblocks
 from tests.snapshot.test_capture_restore import _build, _observable
 from repro.workloads import interrupt_response, yield_pingpong
 
 CORES = ("cv32e40p", "cva6", "naxriscv")
 
-#: Enough loop trips for SUPERBLOCK_HOT promotions well before the end.
+#: Enough loop trips for chained blocks well before the end.
 ITERATIONS = 24
 
 
-def _any_superblock(engine):
-    return engine.superblocks > 0
+def _has_chained(engine):
+    return engine.chained > 0
 
 
 #: name -> (workload, predicate on the block engine that says the tier
 #: is warm enough to checkpoint).
 WARM_TIERS = {
-    "yield_pingpong": (yield_pingpong(iterations=ITERATIONS),
-                       _any_superblock),
-    "interrupt_response": (interrupt_response(iterations=4),
-                           loop_superblocks),
+    "yield_pingpong": (yield_pingpong(iterations=ITERATIONS), _has_chained),
+    "interrupt_response": (interrupt_response(iterations=4), _has_chained),
 }
 
 
 def _checkpoint_with_warm_tier(system, warm):
     """Run *system*, capturing at the first switch once *warm* holds.
 
-    Returns the snapshot; asserts the run completed and that the
-    superblock tier really was warm (promotions observed) at capture
-    time — a checkpoint taken before any promotion would test nothing.
+    Returns the snapshot; asserts the run completed and that blocks
+    really had chained at capture time — a checkpoint taken before any
+    chaining would test nothing.
     """
     checkpoints = []
 
     def hook(cpu):
         engine = cpu.block_engine
         if engine is not None and not checkpoints and warm(engine):
-            checkpoints.append((system.capture(), engine.superblocks))
+            checkpoints.append((system.capture(), engine.chained))
             cpu.switch_hook = None
 
     system.core.switch_hook = hook
     assert system.run(1_000_000) == 0
-    assert checkpoints, "no superblock was promoted before any switch"
-    snapshot, promoted = checkpoints[0]
-    assert promoted > 0
+    assert checkpoints, "no block chained before any switch"
+    snapshot, chained = checkpoints[0]
+    assert chained > 0
     return snapshot
 
 
@@ -87,9 +84,9 @@ def _assert_capture_resumes(core, config_name, name):
 def _assert_restore_rewinds(core, name):
     """Rewinding a finished system onto a mid-run checkpoint replays it.
 
-    The restore path must invalidate every cached block/superblock
-    covering memory the rewind dirties (the lockstep contract) — stale
-    promoted traces would otherwise replay the pre-rewind program.
+    The restore path must invalidate every cached block covering
+    memory the rewind dirties (the lockstep contract) — a chain would
+    otherwise re-enter stale blocks of the pre-rewind program.
     """
     workload, warm = WARM_TIERS[name]
     reference = _build(core, "SLT", workload)
