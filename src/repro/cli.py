@@ -748,8 +748,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time the exact per-instruction path instead")
     p.add_argument("--blocks", action="store_true",
                    help="dump block telemetry: cache hit rate, block "
-                        "transitions chained inside the executors and "
-                        "the top slow-path PCs classified by opcode")
+                        "transitions chained inside the executors, "
+                        "spin-loop iterations fast-forwarded by dispatch "
+                        "and the top slow-path PCs classified by opcode")
     p.add_argument("--opcodes", action="store_true",
                    help="per-opcode cycle attribution (forces exact path)")
     p.add_argument("--cprofile", action="store_true",

@@ -403,6 +403,7 @@ class BaseCore:
             "slow_pcs": 0,
             "slow_pc_evictions": 0,
             "chained": 0,
+            "spin_skipped": 0,
         }
         if self.block_engine is not None:
             counters.update(self.block_engine.counters())

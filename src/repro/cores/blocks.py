@@ -36,6 +36,15 @@ Exactness contract (the whole point):
 * Stores into cached code (self-modifying code) invalidate the decode
   and block caches and end the block; the same check runs on the slow
   path so both modes stay in lockstep.
+* Spin loops: a block of ``addi r, r, imm`` accumulators closed by a
+  ``j`` back to its own entry (:func:`_spin_shape`) runs one iteration
+  per executor call. Once two consecutive iteration boundaries show
+  the same timing state relative to the clock,
+  :meth:`BlockEngine._spin_forward` applies every further whole
+  iteration that ends before the bail cycle in closed form, and the
+  executor runs the last, partial one, so the interrupt or budget stop
+  lands on the same record. This extrapolates iterations the executors
+  already ran; it is not another execution of the RV32 semantics.
 
 Two executor layers, both timing every record inline with no Python
 call per record:
@@ -61,10 +70,10 @@ Both executors chain blocks, as QEMU chains translation blocks
 2005): after a block completes, the executor probes the block cache
 for the next PC itself and keeps running with its locals hoisted. It
 returns to :meth:`BlockEngine.dispatch` only at the bail cycle, at a PC
-with no cached block, after an MMIO or self-modifying store, at a
-rescheduling custom op and after a horizon-writing record. Chaining
-keeps no state of its own: every transition probes the cache again, so
-a block that SMC or fault injection dropped is never re-entered.
+with no cached block, before a spin loop, after an MMIO or
+self-modifying store and at a rescheduling custom op. Chaining keeps no
+state of its own: every transition probes the cache again, so a block
+that SMC or fault injection dropped is never re-entered.
 """
 
 from __future__ import annotations
@@ -306,17 +315,49 @@ def _classify_csr(instr: Instr, csr_regs):
 
 
 class Block:
-    """One predecoded straight-line run starting at ``entry``."""
+    """One predecoded straight-line run starting at ``entry``.
 
-    __slots__ = ("entry", "records", "addrs")
+    ``spin`` is the block's :func:`_spin_shape`, or None when the block
+    is not a spin loop (or dispatch demoted it).
+    """
+
+    __slots__ = ("entry", "records", "addrs", "spin")
 
     def __init__(self, entry, records, addrs):
         self.entry = entry
         self.records = records
         self.addrs = addrs
+        self.spin = _spin_shape(entry, records)
 
     def __len__(self):
         return len(self.records)
+
+
+#: Iteration boundaries a spin loop may take to reach a periodic timing
+#: state before dispatch demotes it to an ordinary chained block.
+SPIN_PROBES = 4
+
+def _spin_shape(entry, records):
+    """``((reg, imm), ...)``, the accumulators of a spin loop, or None.
+
+    A spin loop is a block of ``addi r, r, imm`` accumulators on
+    distinct registers closed by a ``j`` (``jal x0``) back to its own
+    entry, like a background task's ``addi s0, s0, 1; j bg_loop``. Each
+    record reads only its own accumulator and x0, whose availability
+    never passes the issue point (every reset leaves it a cycle behind
+    ``next_issue``), so every iteration does the same thing: each
+    accumulator advances by its ``imm``. Returns None for any other
+    block.
+    """
+    *body, (kind, rd, _, _, imm, instr, _) = records
+    if kind != K_JAL or rd or (instr.addr + imm) & MASK32 != entry:
+        return None
+    accumulators = {}
+    for kind, rd, rs1, _, imm, _, _ in body:
+        if kind != K_ADDI or rs1 != rd or not rd or rd in accumulators:
+            return None
+        accumulators[rd] = imm
+    return tuple(accumulators.items())
 
 
 #: (core class, executor name) -> per-class clone of the executor.
@@ -406,6 +447,8 @@ class BlockEngine:
         self.fast_instret = 0
         #: Block transitions taken inside an executor call (chaining).
         self.chained = 0
+        #: Spin-loop iterations skipped in closed form (:meth:`_spin_forward`).
+        self.spin_skipped = 0
         #: pc -> slow-path dispatch count; None unless profiling enables it.
         self.slow_counts: dict[int, int] | None = None
         unit = getattr(core, "unit", None)
@@ -425,6 +468,8 @@ class BlockEngine:
                  core.stats, core._decode_cache, self.addr_map, MMIO_ADDRS,
                  core.config.dirty, params.custom_commit_delay, self.cache,
                  self.cache.capacity or _INF)
+        #: NaxRiscv's window: :meth:`_spin_forward` probes its front end.
+        self._window = model == "window"
         if model != "inorder":
             dcache = core.dcache
             predictor = core.predictor
@@ -522,6 +567,7 @@ class BlockEngine:
             "slow_pcs": len(self.slow_pcs),
             "slow_pc_evictions": self.slow_pcs.evictions,
             "chained": self.chained,
+            "spin_skipped": self.spin_skipped,
         }
 
     # -- predecode -----------------------------------------------------------
@@ -656,6 +702,10 @@ class BlockEngine:
         mid-block to keep executing. Cache probes use the raw dict
         lookup; LRU recency is refreshed only once the cache is actually
         full, when eviction order starts to matter.
+
+        The executors never chain into a spin loop (:func:`_spin_shape`),
+        so this loop runs one iteration of it per executor call and
+        hands each iteration boundary to :meth:`_spin_forward`.
         """
         core = self.core
         cache = self.cache
@@ -666,7 +716,7 @@ class BlockEngine:
         counts = self.slow_counts
         exec_block = self._exec_block
         limit = max_cycles + 1  # bail ceiling handed to the executors
-        horizon = None
+        horizon = probe = None
         while True:
             if core.halted or core.cycle > max_cycles:
                 return
@@ -695,9 +745,81 @@ class BlockEngine:
             if horizon <= core.cycle:
                 return
             bail = horizon if horizon < limit else limit
+            if block.spin is not None:
+                probe = self._spin_forward(block, bail, probe)
             if exec_block(block, bail, limit):
                 horizon = None  # MMIO store / custom op: the CLINT or
                 #                 CSR state may have re-armed
+
+    def _spin_forward(self, block, bail, probe):
+        """Skip the whole iterations of a spin loop that end before *bail*.
+
+        :meth:`dispatch` calls this at each iteration boundary of the
+        spin loop *block* with the probe this returned at the previous
+        boundary, and passes the result on to the next. The calls in
+        one dispatch call see consecutive boundaries: the executors
+        never chain into a spin loop, and the loop's only exit is its
+        bail cycle, which ends the dispatch call. A probe holds the
+        loop's timing state relative to a reference cycle
+        (``core.cycle`` on the in-order models, the front end on
+        NaxRiscv): the issue point, the accumulators' availability, and
+        NaxRiscv's commit front and free front-end slots. It also holds
+        the counters an iteration moves. Nothing in a spin loop touches
+        memory or the branch predictor, so the D$, the LSU port, the
+        port timeline and the predictor stay put.
+
+        Once two consecutive boundaries agree exactly, every later
+        iteration repeats the last one Δ cycles later: the timing
+        models are max-plus arithmetic, so they commute with a time
+        shift, and the loop has no control inputs. The k iterations
+        that end before ``bail`` are then applied in closed form: the
+        live cycle fields move by kΔ, the counters by k times the last
+        iteration's deltas and each accumulator by k·imm. The executor
+        runs the last, partial iteration, so the interrupt or budget
+        stop lands on the same record as on the exact path. A loop that
+        is not periodic within :data:`SPIN_PROBES` iterations is
+        demoted and chains like any other block.
+        """
+        core = self.core
+        avail = core.reg_avail
+        stats = core.stats
+        if self._window:
+            ref = core._front
+            head = (core.next_issue - ref, core._last_commit - ref,
+                    core._front_slots)
+        else:
+            ref = core.cycle
+            head = core.next_issue - ref
+        state = (head, [avail[reg] - ref for reg, _ in block.spin])
+        counts = (stats.instret, stats.reg_writes, stats.stall_cycles,
+                  self.fast_instret, self.hits)
+        if probe is None:
+            return ref, state, counts, 1
+        last_ref, last_state, last_counts, seen = probe
+        if state != last_state:
+            if seen < SPIN_PROBES:
+                return ref, state, counts, seen + 1
+            block.spin = None  # not periodic: chain it like any block
+            return None
+        delta = ref - last_ref
+        k = (bail - 1 - core.cycle) // delta
+        if k > 0:
+            shift = k * delta
+            core.cycle += shift
+            core.next_issue += shift
+            if self._window:
+                core._front += shift
+                core._last_commit += shift
+            regs = core.banks[core.active_bank]
+            for reg, imm in block.spin:
+                avail[reg] += shift
+                regs[reg] = (regs[reg] + k * imm) & MASK32
+            (stats.instret, stats.reg_writes, stats.stall_cycles,
+             self.fast_instret, self.hits) = (
+                now + k * (now - last)
+                for now, last in zip(counts, last_counts))
+            self.spin_skipped += k
+        return None  # the next iteration reaches bail
 
     # -- executors -----------------------------------------------------------
 
@@ -729,7 +851,7 @@ class BlockEngine:
         the locals carry over unchanged, because ``fix_at`` counts
         ``done`` across the whole call. Returns True when dispatch's
         cached interrupt horizon is stale (MMIO store, rescheduling
-        custom op, horizon write).
+        custom op, horizon write anywhere in the call).
         """
         core = self.core
         (mem, data, memsize, avail, stats, decoded, addr_map, mmio,
@@ -1122,11 +1244,9 @@ class BlockEngine:
                     if not pc_set:
                         pc = (instr.addr + 4) & MASK32
                         pc_set = True
-                    if stale:
-                        break  # dispatch recomputes the horizon
                     block = dget(cache, pc)
-                    if block is None:
-                        break  # slow or not built yet: dispatch decides
+                    if block is None or block.spin is not None:
+                        break  # slow, not built yet or a spin loop
                     if len(cache) >= cap:
                         cache.move_to_end(pc)
                     chained += 1
@@ -1215,12 +1335,14 @@ class BlockEngine:
         (raw ``dict.get``, a block hit, LRU refresh once the cache is
         full), and keeps running under the same ``bail`` with its locals
         hoisted. That is exact because a clean completion leaves the
-        core where dispatch would find it: not halted, below ``bail``,
-        with the cached horizon still valid. The loop returns to
-        dispatch at the bail cycle, at a PC with no cached block, after
-        an MMIO or self-modifying store, at a rescheduling custom op and
-        after a horizon-writing record. Returns True when dispatch's
-        cached interrupt horizon is stale (the last three of those).
+        core where dispatch would find it: not halted and below
+        ``bail``, which a horizon-writing record has already resynced
+        in place. The loop returns to dispatch at the bail cycle, at a
+        PC with no cached block, before a spin loop (dispatch runs those
+        one iteration per call), after an MMIO or self-modifying store
+        and at a rescheduling custom op. Returns True when dispatch's
+        cached interrupt horizon is stale: after the last two of those,
+        or after a horizon write anywhere in the call.
         """
         core = self.core
         (mem, data, memsize, avail, stats, decoded, addr_map, mmio,
@@ -1729,11 +1851,9 @@ class BlockEngine:
                     if not pc_set:
                         pc = (instr.addr + 4) & MASK32
                         pc_set = True
-                    if stale:
-                        break  # dispatch recomputes the horizon
                     block = dget(cache, pc)
-                    if block is None:
-                        break  # slow or not built yet: dispatch decides
+                    if block is None or block.spin is not None:
+                        break  # slow, not built yet or a spin loop
                     if len(cache) >= cap:
                         cache.move_to_end(pc)
                     chained += 1

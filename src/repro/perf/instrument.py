@@ -131,9 +131,9 @@ def profile_workload(core: str, config: RTOSUnitConfig, workload: Workload,
     path. ``cprofile`` captures a host-level profile of the hottest
     simulator functions. ``block_stats`` turns on the engine's per-PC
     slow-path counter and fills :attr:`PerfReport.block_report` with
-    cache hit rate, the chained block transitions and the top slow PCs
-    classified by opcode — the starting data for a slow-path hunt
-    (docs/PERF.md).
+    cache hit rate, the chained block transitions, the fast-forwarded
+    spin-loop iterations and the top slow PCs classified by opcode —
+    the starting data for a slow-path hunt (docs/PERF.md).
 
     Profiling builds its own system below
     :func:`repro.harness.run_workload`, so it can attach the cycle
@@ -202,7 +202,7 @@ TOP_SLOW_PCS = 10
 
 
 def _block_report(cpu) -> dict:
-    """Block-cache and chaining telemetry for one finished run.
+    """Block-cache, chaining and spin-loop telemetry for one finished run.
 
     The top slow PCs are ranked by exact-path dispatch count; each is
     classified via :func:`repro.isa.instructions.opclass` so the report
@@ -227,6 +227,7 @@ def _block_report(cpu) -> dict:
         "hit_rate": counters["block_hit_rate"],
         "blocks_cached": counters["blocks_cached"],
         "chained": counters["chained"],
+        "spin_skipped": counters["spin_skipped"],
         "slow_pcs": slow_rows,
     }
 
@@ -260,6 +261,9 @@ def format_report(report: PerfReport) -> str:
             f"  block chaining  {b['chained']} transitions inside the "
             f"executors (hit rate {b['hit_rate'] * 100.0:.1f}%, "
             f"{b['blocks_cached']} blocks cached)")
+        lines.append(
+            f"  spin loops      {b['spin_skipped']} iterations "
+            f"fast-forwarded by dispatch")
         if b["slow_pcs"]:
             lines.append("  top slow-path PCs (exact-path dispatches):")
             for row in b["slow_pcs"]:

@@ -210,6 +210,49 @@ next:
         assert block.records[2][4]  # csrrci mstatus: horizon-writing
         assert system.core.csr.read(0x340) == system.core.regs[8]
 
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_chaining_continues_after_a_horizon_write(self, core):
+        # The second pass enables interrupts in a block that jumps back
+        # into the counted loop the first pass cached. The executor
+        # resyncs the horizon in place, so it chains on through the
+        # whole loop instead of handing the write back to dispatch.
+        source = """
+    li   s1, 2
+    li   s0, 4
+loop:
+    addi t0, t0, 3
+    addi s0, s0, -1
+    bnez s0, loop
+    addi s1, s1, -1
+    beqz s1, done
+    li   s0, 4
+    csrsi mstatus, 8
+    j    loop
+done:
+"""
+        system = System(CORE_CLASSES[core], parse_config("vanilla"),
+                        tick_period=1 << 30)
+        cpu = system.core
+        engine = cpu.block_engine
+        execute = engine._exec_block
+        calls = []
+
+        def counted(block, bail, limit):
+            enabled = cpu.csr.mie_global
+            try:
+                return execute(block, bail, limit)
+            finally:
+                calls.append((enabled, cpu.csr.mie_global, cpu.regs[8]))
+
+        engine._exec_block = counted
+        system.load(assemble(source + HALT_TAIL, origin=0))
+        system.run(max_cycles=200_000)
+        # One call made the write, and it left the loop finished (s0 0).
+        assert [s0 for before, after, s0 in calls
+                if after and not before] == [0]
+        assert _state(system) == _state(_run(source, core=core,
+                                             blocks=False))
+
     def test_every_mnemonic_has_exactly_one_predecode_path(self):
         # Each RV32IM_Zicsr mnemonic becomes an inlined record or a CSR
         # record, or stays on the exact path: never two, never none.

@@ -12,9 +12,9 @@ timeline). This is the acceptance test for the exactness contract in
 
 The two long-run workloads ride along for their loops:
 ``interrupt_response``'s background task spins in a two-instruction
-self-loop that chains into itself until an external interrupt lands
-inside the running chain, and ``mixed_stress`` cycles seven tasks
-through every kernel service.
+self-loop that dispatch fast-forwards to the next interrupt, which
+must still stop the loop on the same record, and ``mixed_stress``
+cycles seven tasks through every kernel service.
 """
 
 import dataclasses
@@ -48,16 +48,15 @@ def _observable(core, system):
 
 def _record_exits(engine):
     """Wrap *engine*'s executor; the returned list collects, per call,
-    the PC it returned at and the transitions it chained."""
+    the PC it returned at and whether it ran up to its bail cycle."""
     exits = []
     execute = engine._exec_block
 
     def recorded(block, bail, limit):
-        chained = engine.chained
         try:
             return execute(block, bail, limit)
         finally:
-            exits.append((engine.core.pc, engine.chained - chained))
+            exits.append((engine.core.pc, engine.core.cycle >= bail))
 
     engine._exec_block = recorded
     return exits
@@ -99,10 +98,15 @@ def test_suite_identical_with_and_without_blocks(core_name, config_name):
             f"{name} on {core_name}/{config_name}: blocks never dispatched")
         assert off_counters["fast_instret"] == 0
         if factory is interrupt_response:
-            # An external interrupt stopped an executor call inside the
-            # background spin loop after it had chained around it.
-            spin = program.symbol("bg_loop")
-            assert any(pc in (spin, spin + 4) and chained > 1
-                       for pc, chained in exits), (
+            # Dispatch skipped whole iterations of the background spin
+            # loop, and an interrupt still stopped an executor call
+            # inside it: the skip left the last iteration to the
+            # executor, which bailed on the exact path's record.
+            assert on_counters["spin_skipped"] > 0, (
                 f"{name} on {core_name}/{config_name}: spin loop never "
-                f"chained")
+                f"fast-forwarded")
+            spin = program.symbol("bg_loop")
+            assert any(pc in (spin, spin + 4) and bailed
+                       for pc, bailed in exits), (
+                f"{name} on {core_name}/{config_name}: no interrupt "
+                f"stopped the spin loop inside an executor call")

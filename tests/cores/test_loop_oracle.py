@@ -10,9 +10,13 @@ op, and the loop closes either with ``bnez`` or with ``beqz`` + ``j``.
 An outer loop reruns it one to three times. A machine timer fires
 every drawn period, so interrupts land inside running chains: the
 handler, on registers the body does not touch, counts them and re-arms
-``mtimecmp`` through MMIO. Each program runs with block dispatch on and
-off on all three cores; the cycle count, the full core stats, the
-registers, the buffer and the timing models' state must agree.
+``mtimecmp`` through MMIO. Some programs end with a spin phase: a
+self-loop of ``addi r, r, imm`` accumulators closed by ``j`` that the
+handler leaves for the halt tail one to three interrupts later, and
+which dispatch fast-forwards between them. Each program runs with block
+dispatch on and off on all three cores; the cycle count, the full core
+stats, the registers, the buffer and the timing models' state must
+agree.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -37,16 +41,18 @@ _BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
 _CSR_R = ("csrrw", "csrrs", "csrrc")
 _CSR_I = ("csrrwi", "csrrsi", "csrrci")
 
-# Work registers: x5..x15. x25 counts passes, x26 counts trips, x27
-# holds the buffer base; the timer handler owns x28..x30 (x29 counts
-# interrupts) and the halt tail uses x31.
+# Work registers: x5..x15. x24 holds the interrupt count that ends the
+# spin phase (0, never reached, without one), x25 counts passes, x26
+# counts trips, x27 holds the buffer base; the timer handler owns
+# x28..x30 (x29 counts interrupts) and the halt tail uses x31.
 _WORK = tuple(range(5, 16))
 
-#: Timer handler: count the interrupt, set ``mtimecmp`` one period past
-#: the current ``mtime``.
+#: Timer handler: count the interrupt, halt once the count reaches
+#: x24, else set ``mtimecmp`` one period past the current ``mtime``.
 _HANDLER = f"""
 handler:
     addi x29, x29, 1
+    beq  x29, x24, done
     li   x30, {MTIME_ADDR:#x}
     lw   x28, 0(x30)
     li   x30, {{period}}
@@ -74,15 +80,24 @@ _op = st.one_of(
               _reg, st.one_of(st.just(0), st.integers(0, 31))),
 )
 _body = st.lists(_op, min_size=1, max_size=8)
+#: Spin phase: one to four accumulators on distinct work registers.
+_spin_body = st.lists(_reg, min_size=1, max_size=4, unique=True).flatmap(
+    lambda regs: st.tuples(*(
+        st.builds(f"    addi x{reg}, x{reg}, {{}}".format,
+                  st.integers(-2048, 2047))
+        for reg in regs)))
 
 
 @st.composite
 def loop_programs(draw):
-    """Return ``(source, trips, passes, period)`` for one counted loop.
+    """Return ``(source, trips, passes, period, waits)`` for one counted
+    loop, followed by a spin phase that waits for ``waits`` interrupts
+    (0: none).
 
     The timer first fires at cycle ``period`` (the CLINT's initial
     ``mtimecmp``), then every ``period`` cycles after the handler reads
-    ``mtime``.
+    ``mtime``. The spin phase runs until the handler's count in x29
+    reaches x24, set ``waits`` interrupts ahead as the phase starts.
     """
     seeds = draw(st.lists(st.integers(0, MASK), min_size=len(_WORK),
                           max_size=len(_WORK)))
@@ -120,9 +135,14 @@ def loop_programs(draw):
     else:
         lines += ["    beqz x26, exit", "    j    loop", "exit:"]
     lines += ["    addi x25, x25, -1", "    bnez x25, outer"]
-    source = ("\n".join(lines) + "\n" + HALT_TAIL
+    waits = draw(st.integers(1, 3)) if draw(st.booleans()) else 0
+    if waits:
+        lines += [f"    addi x24, x29, {waits}", "spin:"]
+        lines += draw(_spin_body)
+        lines.append("    j    spin")
+    source = ("\n".join(lines) + "\ndone:" + HALT_TAIL
               + _HANDLER.format(period=period))
-    return source, trips, passes, period
+    return source, trips, passes, period, waits
 
 
 def _run(program, core, blocks, period):
@@ -143,7 +163,7 @@ def _run(program, core, blocks, period):
 @settings(max_examples=150, deadline=None)
 @given(case=loop_programs())
 def test_loop_programs_identical_with_and_without_blocks(case):
-    source, trips, passes, period = case
+    source, trips, passes, period, waits = case
     program = assemble(source, origin=0)
     for core in sorted(CORE_CLASSES):
         on_system, on = _run(program, core, blocks=True, period=period)
@@ -155,3 +175,8 @@ def test_loop_programs_identical_with_and_without_blocks(case):
         cpu = on_system.core
         if (trips - 1) * passes - 1 > cpu.stats.traps:
             assert cpu.block_engine.chained > 0
+        # Between two of its interrupts the spin phase runs for most of a
+        # timer period, which dispatch fast-forwards on the in-order
+        # cores.
+        if waits >= 2 and core != "naxriscv":
+            assert cpu.block_engine.spin_skipped > 0, (core, source)

@@ -105,6 +105,19 @@ class TestWitnessAcrossPersonalities:
 
     def test_echronos_starves_on_the_storm(self):
         from repro.errors import SimulationError
+        from repro.kernel.builder import KernelBuilder
 
-        with pytest.raises(SimulationError, match="cycle limit"):
-            _run_witness(parse_config("vanilla@echronos"))
+        config = parse_config("vanilla@echronos")
+        with pytest.raises(SimulationError, match="cycle limit") as info:
+            _run_witness(config)
+        # The budget stops the background task's spin loop on its first
+        # record, just past the 60M-cycle budget, after a timer tick.
+        workload = ScenarioSpec.parse(WITNESS).workload(
+            iterations=ITERATIONS)
+        program = KernelBuilder(config=config, objects=workload.objects,
+                                tick_period=workload.tick_period).program()
+        error = info.value
+        assert error.kind == "cycle-budget"
+        assert error.pc == program.symbol("bg_loop")
+        assert error.cycle == 60_000_001
+        assert error.mcause == 0x80000007

@@ -152,6 +152,20 @@ class TestProfileCli:
         out = capsys.readouterr().out
         assert "DIFFER -- BUG: switch 0 mret cycle" in out
 
+    def test_profile_blocks_reports_spin_loops(self, tmp_path, capsys):
+        # interrupt_response's background task is a register-only spin
+        # loop that dispatch fast-forwards between interrupts.
+        path = tmp_path / "profile.json"
+        assert main(["profile", "--blocks", "--compare", "--workload",
+                     "interrupt_response", "--iterations", "2",
+                     "--perf-json", str(path)]) == 0
+        assert "fast-forwarded by dispatch" in capsys.readouterr().out
+        record = json.loads(path.read_text())
+        skipped = record["counters"]["spin_skipped"]
+        assert skipped > 0
+        assert record["block_report"]["spin_skipped"] == skipped
+        assert record["baseline"]["counters"]["spin_skipped"] == 0
+
     def test_profile_opcodes(self, capsys):
         assert main(["profile", "--workload", "yield_pingpong",
                      "--iterations", "2", "--opcodes"]) == 0
