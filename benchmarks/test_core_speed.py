@@ -18,13 +18,13 @@ and writes the numbers to ``BENCH_core.json`` at the repo root so a
 regression can be bisected against CI artifacts (see docs/PERF.md).
 
 Since the tiered-compilation upgrade (custom-op-resident blocks, the
-cached cores' timing inside the executors, block chaining —
+cached cores' timing inside the block executor, block chaining —
 docs/PERF.md) two more rows carry their own gates: naxriscv/vanilla must
-hold 1.5x (its OoO window timed inline by the architectural executor)
-and cv32e40p/SLT must hold 2.0x (RTOSUnit custom ops riding inside
-blocks), each with a slow-ratio ceiling so predecode coverage can't
-silently erode back to the exact path. Remaining combinations are
-reported only.
+hold 1.5x (its OoO window timed inline by the executor's ``window``
+arms) and cv32e40p/SLT must hold 2.0x (RTOSUnit custom ops riding
+inside blocks), each with a slow-ratio ceiling so predecode coverage
+can't silently erode back to the exact path. Remaining combinations
+are reported only.
 """
 
 import gc
@@ -57,7 +57,7 @@ MIN_HEADLINE_IPS = 100_000.0
 TIER_REPEATS = 4
 #: Gated rows beyond the headline: (core, config) -> (speedup floor,
 #: slow-ratio ceiling). naxriscv exercises the inline OoO window of the
-#: architectural executor; SLT exercises custom-op-resident blocks
+#: executor's ``window`` arms; SLT exercises custom-op-resident blocks
 #: (docs/PERF.md).
 TIER_GATES = {
     ("naxriscv", "vanilla"): (1.5, 0.05),

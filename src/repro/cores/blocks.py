@@ -43,42 +43,47 @@ Exactness contract (the whole point):
   :meth:`BlockEngine._spin_forward` applies every further whole
   iteration that ends before the bail cycle in closed form, and the
   executor runs the last, partial one, so the interrupt or budget stop
-  lands on the same record. This extrapolates iterations the executors
+  lands on the same record. This extrapolates iterations the executor
   already ran; it is not another execution of the RV32 semantics.
 
-Two executor layers, both timing every record inline with no Python
-call per record:
+One executor source times every record inline, with no Python call
+per record, for three timing models (:func:`_timing_model`, picked from
+the core class when the engine is built):
 
-* an *inlined in-order* loop for cores that keep ``BaseCore``'s timing
-  (`CV32E40P`, `CVA6`) — operand indices, immediates and the in-order
-  issue/stall arithmetic are unrolled with hoisted locals; on CVA6 it
-  also runs the write-through, no-allocate D$ (with the uncached context
-  range and MMIO) and the bimodal predictor;
-* an *architectural* loop for `NaxRiscv` — the same inlined execute
-  records, timed with its dataflow window: front-end slots, operand
+* ``inorder`` (`CV32E40P`): ``BaseCore``'s in-order issue and stall
+  arithmetic over single-cycle SRAM;
+* ``cached`` (`CVA6`): the same, plus the write-through, no-allocate D$
+  (with the uncached context range and MMIO) and the bimodal predictor;
+* ``window`` (`NaxRiscv`): its dataflow window: front-end slots, operand
   readiness, one LSU port over the write-back D$, the predictor and CSR
   serialisation.
 
-Both take an MRU-way early-out on D$ hits and write the D$ hit and
-predictor counters back when the block exits. The timing model is
-picked from the core class when the engine is built
-(:func:`_timing_model`); a core that overrides a timing hook neither
-executor models is refused there rather than timed wrong.
+The execute semantics, register write-back, block exits, chaining and
+the exit write-back are written once for all three, and each record
+class's operand readiness once; only the timing arms test the model
+names ``INORDER``, ``CACHED`` and ``WINDOW``.
+:func:`_specialise` compiles the source once per process per model with
+those names folded to constants, so each core class runs a copy holding
+only its own arms. A core that overrides a timing hook no model covers is
+refused when the engine is built rather than timed wrong. The D$ probes
+take an MRU-way early-out, and the D$ hit and predictor counters are
+written back when the executor exits.
 
-Both executors chain blocks, as QEMU chains translation blocks
-(Bellard, "QEMU, a Fast and Portable Dynamic Translator", USENIX ATC
-2005): after a block completes, the executor probes the block cache
-for the next PC itself and keeps running with its locals hoisted. It
-returns to :meth:`BlockEngine.dispatch` only at the bail cycle, at a PC
-with no cached block, before a spin loop, after an MMIO or
-self-modifying store and at a rescheduling custom op. Chaining keeps no
-state of its own: every transition probes the cache again, so a block
+The executor chains blocks, as QEMU chains translation blocks (Bellard,
+"QEMU, a Fast and Portable Dynamic Translator", USENIX ATC 2005): after
+a block completes, it probes the block cache for the next PC itself and
+keeps running with its locals hoisted. It returns to
+:meth:`BlockEngine.dispatch` only at the bail cycle, at a PC with no
+cached block, before a spin loop, after an MMIO or self-modifying store
+and at a rescheduling custom op. Chaining keeps no state of its own:
+every transition probes the cache again, so a block
 that SMC or fault injection dropped is never re-entered.
 """
 
 from __future__ import annotations
 
-import types
+import dis
+import re
 
 from repro.cores.base import BaseCore, MASK32, _divrem, _sgn
 from repro.cores.cva6 import CVA6
@@ -154,50 +159,56 @@ _BRANCH_FNS = {
     "bgeu": lambda a, b: a >= b,
 }
 
+#: mnemonic -> (size, sign bit, the bits a set sign bit extends to)
 _LOAD_SPECS = {
     "lw": (4, 0, 0),
-    "lh": (2, 0x8000, 0x10000),
+    "lh": (2, 0x8000, 0xFFFF0000),
     "lhu": (2, 0, 0),
-    "lb": (1, 0x80, 0x100),
+    "lb": (1, 0x80, 0xFFFFFF00),
     "lbu": (1, 0, 0),
 }
 
-# -- execute-record kinds for the inlined in-order layer ---------------------
+_STORE_SIZES = {"sw": 4, "sh": 2, "sb": 1}
+
+# -- execute-record kinds ----------------------------------------------------
+#
+# The executor tests kinds in this order, so each range test below is one
+# comparison: ALU kinds, then memory, control transfer, mul/div, Zicsr
+# and RTOSUnit custom ops.
 
 K_ADDI = 0
 K_ALU = 1
 K_ALUI = 2
 K_LUI = 3
 K_AUIPC = 4
-_K_SIMPLE_MAX = K_AUIPC   # kinds <= this share the zero-penalty ALU tail
-K_LW = 5
-K_LBH = 6
-K_SW = 7
-K_SBH = 8
-K_BRANCH = 9
-K_JAL = 10
-K_JALR = 11
-K_MUL = 12
-K_DIV = 13
-#: RTOSUnit custom op resident in the block: ``fn`` is the per-op fast
-#: handler ``(rs1_value, rs2_value, issue) -> (rd_value, complete_cycle)``.
-K_CUSTOM = 15
-#: RTOSUnit custom op that may reschedule (bank switch / context load):
-#: executes via the exact ``_step_custom`` path and ends the block.
-K_CUSTOM_BRK = 16
+#: ``fn`` is the load spec from ``_LOAD_SPECS``.
+K_LOAD = 5
+#: ``fn`` is the store size in bytes.
+K_STORE = 6
+K_BRANCH = 7
+K_JAL = 8
+K_JALR = 9
+K_MUL = 10
+K_DIV = 11
 #: Zicsr op resident in the block: ``fn`` is a prebuilt ``(rs1_value) ->
 #: old_csr_value`` closure applying the exact read/write/set/clear
 #: effects on the live ``csr.regs`` dict. ``imm`` is 1 when the op can
 #: write an interrupt-horizon input (mstatus/mie) — the executor then
 #: resyncs the horizon in place and reports the cached one stale.
-K_CSR = 18
+K_CSR = 12
+#: RTOSUnit custom op resident in the block: ``fn`` is the per-op fast
+#: handler ``(rs1_value, rs2_value, issue) -> (rd_value, complete_cycle)``.
+K_CUSTOM = 13
+#: RTOSUnit custom op that may reschedule (bank switch / context load):
+#: executes via the exact ``_step_custom`` path and ends the block.
+K_CUSTOM_BRK = 14
 
 #: CSR addresses whose writes feed ``_horizon`` / ``_maybe_take_interrupt``.
 _HORIZON_CSRS = frozenset({MSTATUS, MIE})
 
 
-def _classify_inorder(instr: Instr):
-    """Pre-resolve one instruction into an inlined-execution record.
+def _classify(instr: Instr):
+    """Pre-resolve one instruction into an execute record.
 
     Record layout: ``(kind, rd, rs1, rs2, imm, instr, fn)`` where ``fn``
     carries the bound operator / load spec / store size per kind.
@@ -216,15 +227,12 @@ def _classify_inorder(instr: Instr):
         fn, mask_imm = spec
         return (K_ALUI, rd, rs1, rs2,
                 imm & MASK32 if mask_imm else imm, instr, fn)
-    if m == "lw":
-        return (K_LW, rd, rs1, rs2, imm, instr, None)
     load = _LOAD_SPECS.get(m)
     if load is not None:
-        return (K_LBH, rd, rs1, rs2, imm, instr, load)
-    if m == "sw":
-        return (K_SW, rd, rs1, rs2, imm, instr, None)
-    if m == "sh" or m == "sb":
-        return (K_SBH, rd, rs1, rs2, imm, instr, 2 if m == "sh" else 1)
+        return (K_LOAD, rd, rs1, rs2, imm, instr, load)
+    size = _STORE_SIZES.get(m)
+    if size is not None:
+        return (K_STORE, rd, rs1, rs2, imm, instr, size)
     fn = _BRANCH_FNS.get(m)
     if fn is not None:
         return (K_BRANCH, rd, rs1, rs2, imm, instr, fn)
@@ -360,41 +368,60 @@ def _spin_shape(entry, records):
     return tuple(accumulators.items())
 
 
-#: (core class, executor name) -> per-class clone of the executor.
-_EXEC_CLONES: dict = {}
+#: The names under which the executor source tests each timing model
+#: :func:`_timing_model` names; only :func:`_specialise` gives them a
+#: value.
+_MODEL_NAMES = re.compile(r"\b(?:INORDER|CACHED|WINDOW)\b")
+#: (source function, timing model) -> the function compiled for it.
+_SPECIALISED: dict = {}
 
 
-def _monomorphic_executor(cls, fn):
-    """Per-core-class clone of a block executor function.
+def _specialise(fn, model):
+    """*fn* compiled for one timing model, once per process.
 
-    CPython's specializing interpreter keeps its inline caches *per code
-    object*. One shared executor serving several core classes (CV32E40P
-    and CVA6 both run the in-order loop) watches its attribute-load and
-    call sites go polymorphic and deoptimise — measurably slower than
-    the same loop serving a single class. Cloning the code object per
-    core class keeps every copy's caches monomorphic; the clones share
-    globals and are otherwise identical.
+    Each model name in *fn*'s source text becomes ``True`` or ``False``,
+    and CPython's compiler drops the dead arms: a folded ``if``, ``not``,
+    ``and``/``or`` or conditional expression leaves at most a ``NOP``.
+    The copy compiles under this file's name at the source's own line
+    numbers and indentation, so tracebacks and coverage point at real
+    lines. Each copy is also a code object of its own per core class,
+    so CPython's inline caches stay monomorphic in each. The text comes
+    from the file on disk, which must still be the one the module was
+    imported from.
     """
-    key = (cls, fn.__name__)
-    clone = _EXEC_CLONES.get(key)
-    if clone is None:
-        clone = types.FunctionType(
-            fn.__code__.replace(), fn.__globals__, fn.__name__,
-            fn.__defaults__, fn.__closure__)
-        _EXEC_CLONES[key] = clone
-    return clone
+    special = _SPECIALISED.get((fn, model))
+    if special is None:
+        code = fn.__code__
+        # The source runs from the def to the last line holding code
+        # (read from the line table: no tokenizer pass). The file is
+        # read here rather than through ``linecache``, which would keep
+        # all of it for the life of the process.
+        first = code.co_firstlineno
+        last = max(line for _, line in dis.findlinestarts(code) if line)
+        with open(code.co_filename, encoding="utf-8") as source_file:
+            source = "".join(source_file.readlines()[first - 1:last])
+        source = _MODEL_NAMES.sub(
+            lambda name: str(name[0].lower() == model), source)
+        # A class header on the line above keeps the method's indent.
+        compiled = compile("\n" * (first - 2) + "class _:\n" + source,
+                           code.co_filename, "exec")
+        namespace = {}
+        exec(compiled, fn.__globals__, namespace)
+        special = vars(namespace["_"])[fn.__name__]
+        _SPECIALISED[fn, model] = special
+    return special
 
 
 def _timing_model(core) -> str:
-    """Name the timing model the block executors inline for *core*.
+    """Name the timing model the block executor inlines for *core*.
 
     ``"inorder"``: ``BaseCore``'s in-order timing over single-cycle SRAM
     (CV32E40P). ``"cached"``: the same with CVA6's write-through D$,
     uncached ranges and predictor. ``"window"``: NaxRiscv's dataflow
-    window over its write-back D$. Each executor stands in for exactly
-    these hooks, so a core class overriding any of them (or a D$ or
-    predictor of another kind) would be timed wrong on the block path;
-    it gets a :class:`ConfigurationError` instead.
+    window over its write-back D$. Each model's timing arms stand in for
+    exactly these hooks, so a core class overriding any of them (or a D$
+    or predictor of another kind) would be timed wrong on the block
+    path; it gets a :class:`ConfigurationError` instead.
     """
     cls = type(core)
     if (cls._exec is BaseCore._exec
@@ -416,8 +443,8 @@ def _timing_model(core) -> str:
                 and _standard_models(core)):
             return "window"
     raise ConfigurationError(
-        f"{cls.__name__} overrides a timing hook that the block executors "
-        f"do not model, so block dispatch would time it wrong")
+        f"{cls.__name__} overrides a timing hook that the block executor "
+        f"does not model, so block dispatch would time it wrong")
 
 
 def _standard_models(core) -> bool:
@@ -428,7 +455,7 @@ def _standard_models(core) -> bool:
 
 
 class BlockEngine:
-    """PC-keyed block cache plus the two block executors for one core."""
+    """PC-keyed block cache plus the block executor for one core."""
 
     def __init__(self, core: BaseCore, capacity: int | None = None):
         self.core = core
@@ -454,57 +481,53 @@ class BlockEngine:
         unit = getattr(core, "unit", None)
         self._custom_handlers = (unit.fast_custom_handlers()
                                  if unit is not None else None)
-        cls = type(core)
         model = _timing_model(core)
         params = core.params
         lrl = params.load_result_latency
+        #: NaxRiscv's window: :meth:`_spin_forward` probes its front end.
+        self._window = window = model == "window"
         # Static per-core state, unpacked into executor locals in one go
         # (tuple unpack beats a pile of attribute chains per block). All
         # referenced objects are stable for the core's lifetime (restores
         # mutate them in place); per-run dynamic state (cycle, bank, dirty
         # tracking, the timeline and CVA6's uncached range — the System
-        # sets both after construction) is read per call instead.
-        hoist = (core.mem, core.mem.data, core.mem.size, core.reg_avail,
-                 core.stats, core._decode_cache, self.addr_map, MMIO_ADDRS,
-                 core.config.dirty, params.custom_commit_delay, self.cache,
-                 self.cache.capacity or _INF)
-        #: NaxRiscv's window: :meth:`_spin_forward` probes its front end.
-        self._window = model == "window"
+        # sets both after construction) is read per call instead. Each
+        # model reads its own entries: CV32E40P has no D$ or predictor.
+        models = (None,) * 8
         if model != "inorder":
             dcache = core.dcache
             predictor = core.predictor
             models = (dcache, dcache._lines, dcache.sets, dcache.line_bytes,
                       dcache.lookup, predictor, predictor.counters,
                       predictor.entries)
-        if model == "window":
-            # NaxRiscv._time and _mem_latency, constants folded.
-            self._hoist = hoist + models + (
-                params.issue_width, 1 + params.branch_mispredict_penalty,
-                lrl, params.mul_latency, params.div_cycles,
-                params.csr_cycles, params.cache_line_words,
-                params.cache_line_words // 2,
-                1 + params.cache_miss_penalty // 2,
-                lrl + params.cache_miss_penalty, lrl + 4)
-            exec_fn = BlockEngine._exec_block_arch
+        # The uncached load latency (SRAM, CVA6's bus, NaxRiscv's MMIO)
+        # and the branch penalty (taken on CV32E40P, which resolves
+        # branches in EX; mispredicted on CVA6; the front-end refill of
+        # a mispredict on NaxRiscv).
+        if model == "inorder":
+            io_lat, mp_pen = lrl, params.branch_taken_penalty
+        elif model == "cached":
+            io_lat, mp_pen = lrl + 1, params.branch_mispredict_penalty
         else:
-            self._hoist = hoist + (
-                model == "cached", lrl, params.branch_taken_penalty,
-                params.jump_penalty, params.mul_latency, params.div_cycles,
-                params.csr_cycles - 1)
-            if model == "cached":
-                # CVA6._mem_time and _branch_time, constants folded; the
-                # CV32E40P clone never unpacks it.
-                self._cache_hoist = models + (
-                    params.branch_mispredict_penalty,
-                    lrl + params.cache_miss_penalty, lrl + 1,
-                    params.cache_line_words)
-            exec_fn = BlockEngine._exec_block_inorder
-        self._exec_block = _monomorphic_executor(cls, exec_fn).__get__(self)
-        # The dispatch loop runs once per block and loads core attributes
-        # just as often as the executors — clone it per class too (the
-        # instance attribute shadows the class method for callers).
-        self.dispatch = _monomorphic_executor(
-            cls, BlockEngine.dispatch).__get__(self)
+            io_lat, mp_pen = lrl + 4, 1 + params.branch_mispredict_penalty
+        # Loads and stores that reach past ``ram_end`` (MMIO, faults, and
+        # RAM above the lowest MMIO address) go through ``Memory``.
+        ram_end = min(core.mem.size, min(MMIO_ADDRS))
+        self._hoist = (
+            core.mem, core.mem.data, ram_end, core.reg_avail,
+            core.stats, core._decode_cache, self.addr_map, MMIO_ADDRS,
+            core.config.dirty, params.custom_commit_delay, self.cache,
+            self.cache.capacity or _INF) + models + (
+            lrl, lrl + params.cache_miss_penalty, io_lat, mp_pen,
+            params.jump_penalty, params.mul_latency, params.div_cycles,
+            params.csr_cycles if window else params.csr_cycles - 1,
+            params.cache_line_words, params.issue_width,
+            params.cache_line_words // 2,
+            1 + params.cache_miss_penalty // 2)
+        self._exec_block = _specialise(BlockEngine._exec_block,
+                                       model).__get__(self)
+        # The instance attribute shadows the source method for callers.
+        self.dispatch = _specialise(BlockEngine.dispatch, model).__get__(self)
 
     # -- cache maintenance ---------------------------------------------------
 
@@ -576,7 +599,7 @@ class BlockEngine:
         core = self.core
         fetch = core._fetch
         custom_handlers = self._custom_handlers
-        # Both executors resync the interrupt horizon *inside* the record
+        # The executor resyncs the interrupt horizon *inside* the record
         # loop after a horizon-writing CSR/custom record, so blocks run
         # straight through them.
         records = []
@@ -627,7 +650,7 @@ class BlockEngine:
                 continue
             if m in SYNC_OPS:
                 break
-            rec = _classify_inorder(instr)
+            rec = _classify(instr)
             if rec is None:
                 break
             records.append(rec)
@@ -698,14 +721,18 @@ class BlockEngine:
         CSR/custom record can change its inputs (``read_mmio`` is
         side-effect-free, and event-queue pops happen only in the
         exact-path poll), so it is recomputed only after an executor
-        reports it stale. The executors also resync it in place
+        reports it stale. The executor also resyncs it in place
         mid-block to keep executing. Cache probes use the raw dict
         lookup; LRU recency is refreshed only once the cache is actually
         full, when eviction order starts to matter.
 
-        The executors never chain into a spin loop (:func:`_spin_shape`),
+        The executor never chains into a spin loop (:func:`_spin_shape`),
         so this loop runs one iteration of it per executor call and
         hands each iteration boundary to :meth:`_spin_forward`.
+
+        It loads core attributes once per block, as often as the
+        executor does, so each engine runs its own timing model's copy
+        (:func:`_specialise`), whose inline caches see one core class.
         """
         core = self.core
         cache = self.cache
@@ -715,7 +742,7 @@ class BlockEngine:
         slow_cap = slow_pcs.capacity or _INF
         counts = self.slow_counts
         exec_block = self._exec_block
-        limit = max_cycles + 1  # bail ceiling handed to the executors
+        limit = max_cycles + 1  # bail ceiling handed to the executor
         horizon = probe = None
         while True:
             if core.halted or core.cycle > max_cycles:
@@ -757,8 +784,8 @@ class BlockEngine:
         :meth:`dispatch` calls this at each iteration boundary of the
         spin loop *block* with the probe this returned at the previous
         boundary, and passes the result on to the next. The calls in
-        one dispatch call see consecutive boundaries: the executors
-        never chain into a spin loop, and the loop's only exit is its
+        one dispatch call see consecutive boundaries: the executor
+        never chains into a spin loop, and the loop's only exit is its
         bail cycle, which ends the dispatch call. A probe holds the
         loop's timing state relative to a reference cycle
         (``core.cycle`` on the in-order models, the front end on
@@ -821,45 +848,83 @@ class BlockEngine:
             self.spin_skipped += k
         return None  # the next iteration reaches bail
 
-    # -- executors -----------------------------------------------------------
+    # -- executor ------------------------------------------------------------
 
-    def _exec_block_arch(self, block, bail, limit):
-        """Inlined execute and NaxRiscv's dataflow-window timing.
+    def _exec_block(self, block, bail, limit):
+        """Run *block*, and the cached blocks it chains into, timed inline.
 
-        Architectural effects run exactly as in the in-order layer, and
-        each record is then timed inline exactly as ``NaxRiscv._time``
-        would time it. The record takes a front-end slot
-        (``issue_width`` per cycle) and issues once its operands are
-        ready. A memory op also waits for the single LSU port, which a
-        D$ hit holds for a cycle and a line refill for half a line. A
-        mispredicted branch or a ``jalr`` refills the front end, and a
-        CSR op serialises it. ``core.cycle`` is the in-order commit
-        front. The front, its free slots, the commit front, the LSU port
-        and the D$/predictor counters live in locals and are written
-        back on every exit path. ``next_issue`` follows from the front
-        and the last issue, except right after a CSR op (it is fixed
-        before the serialising flush) or a custom op (which sets cycle
-        and next issue outright): ``fix_at`` is the ``done`` count at
-        which ``fcycle``/``fnext`` were last set outright.
+        This is the one executor source for the three timing models, and
+        it is never called as written: :func:`_specialise` compiles a
+        copy per model with ``INORDER``, ``CACHED`` and ``WINDOW`` folded
+        to constants. Each record's architectural effects run as in
+        ``BaseCore._exec``, and its timing arm then times it as the
+        model's exact-path hooks would:
 
-        Horizon-writing records resync the horizon in place, and the
-        per-record ``cycle >= bail`` check lands the exact-path
-        interrupt poll on the same boundary, as in
-        :meth:`_exec_block_inorder`. A rescheduling custom op ends the
-        loop and runs through ``_step_custom`` once the locals are
-        written back. Blocks chain as in :meth:`_exec_block_inorder`;
-        the locals carry over unchanged, because ``fix_at`` counts
-        ``done`` across the whole call. Returns True when dispatch's
-        cached interrupt horizon is stale (MMIO store, rescheduling
-        custom op, horizon write anywhere in the call).
+        * ``INORDER`` (CV32E40P): ``BaseCore._time`` and ``_mem_time``
+          over single-cycle SRAM; a taken branch pays its bubbles.
+        * ``CACHED`` (CVA6): the same issue arithmetic with ``_mem_time``
+          and ``_branch_time``. MMIO and the uncached context range cost
+          one bus beat, loads probe the write-through, no-allocate D$ (a
+          miss refills a line over the bus), every store takes a bus
+          beat and refreshes a D$ hit, and branches train the bimodal
+          predictor.
+        * ``WINDOW`` (NaxRiscv): ``_time``'s dataflow window. A record
+          takes a front-end slot (``issue_width`` per cycle) and issues
+          once its operands are ready. A memory op also waits for the
+          single LSU port, which a D$ access holds for a cycle and a line
+          refill for half a line. A mispredicted branch or a ``jalr``
+          refills the front end, and a CSR op serialises it. ``cycle``
+          follows the in-order commit front, except after a custom op,
+          which sets ``cycle`` and ``next_issue`` outright. At exit
+          ``next_issue`` follows from the front and the last issue,
+          except after a CSR op (fixed before its serialising flush)
+          or a custom op: ``fix_at`` is the ``done`` count at which it
+          was last fixed.
+
+        Hot state lives in locals and is written back on every exit
+        path, a fault included: the clock, the stat deltas, the port
+        timeline's clamp, the D$ and predictor counters and NaxRiscv's
+        front, free slots, commit front and LSU port. ``core.cycle`` is
+        synced before an MMIO access (mtime and probe records read it).
+        The register bank cannot change inside a call (traps, ``mret``
+        and rescheduling custom ops are never predecoded), so ``regs``
+        is hoisted once.
+
+        Horizon-writing records (mstatus/mie CSR writes,
+        context-restoring custom ops) recompute the interrupt horizon in
+        place — ``self._horizon()`` is side-effect-free — clamp ``bail``
+        to ``limit`` (the caller's cycle ceiling) and keep executing;
+        the per-record ``cycle >= bail`` check then lands the exact-path
+        interrupt poll on the same instruction boundary.
+
+        Blocks chain: after a clean completion the loop probes the block
+        cache for the next PC itself, exactly as :meth:`dispatch` would
+        (raw ``dict.get``, a block hit, LRU refresh once the cache is
+        full), and keeps running under the same ``bail`` with its locals
+        hoisted. It returns to dispatch at the bail cycle, at a PC with
+        no cached block, before a spin loop (dispatch runs those one
+        iteration per call), after an MMIO or self-modifying store and
+        at a rescheduling custom op, which runs through ``_step_custom``
+        once the locals are written back. Returns True when dispatch's
+        cached interrupt horizon is stale: after the last two of those,
+        or after a horizon write anywhere in the call.
         """
         core = self.core
-        (mem, data, memsize, avail, stats, decoded, addr_map, mmio,
+        (mem, data, ram_end, avail, stats, decoded, addr_map, mmio,
          config_dirty, custom_delay, cache, cap, dcache, lines, nsets,
-         line_bytes, lookup, predictor, counters, entries, width, redirect,
-         load_lat, mul_lat, div_cyc, csr_cyc, line_words, refill,
-         store_miss, load_miss, mmio_lat) = self._hoist
+         line_bytes, lookup, predictor, counters, entries, load_lat,
+         miss_lat, io_lat, mp_pen, jump_pen, mul_lat, div_lat, csr_lat,
+         line_words, width, refill, store_miss) = self._hoist
+        if CACHED:
+            # The System adds CVA6's one uncached range (the context
+            # region) after the engine is built, so it is read per call.
+            (unc_lo, unc_hi), = core.uncached_ranges or _NO_RANGE
         dget = dict.get
+        # ``mark_core_busy`` inlined: the busy queue appends eagerly while
+        # the scan fence and last-mark clamp stay in locals. The fence is
+        # reread after a resident custom handler, whose FSMs may consume
+        # free cycles. ``_last_marked`` is only ever touched by marking,
+        # so the local copy is authoritative.
         timeline = core.timeline
         tl_append = timeline._busy.append
         tl_scan = timeline._scan
@@ -868,13 +933,14 @@ class BlockEngine:
         bank = core.active_bank
         regs = core.banks[bank]
         track_dirty = bank == 0 and config_dirty
-        front = core._front
-        slots = core._front_slots
-        commit = core._last_commit
-        lsu = core._lsu_next
-        fcycle = core.cycle
-        fnext = core.next_issue
-        fix_at = issue = 0
+        cycle = core.cycle
+        next_issue = core.next_issue
+        if WINDOW:
+            front = core._front
+            slots = core._front_slots
+            commit = core._last_commit
+            lsu = core._lsu_next
+            fix_at = issue = 0
         loads = stores = branches = takenb = regw = stall = customs = 0
         dirty = done = hits = preds = mps = chained = 0
         instr = brk = None
@@ -883,92 +949,107 @@ class BlockEngine:
             while True:
                 for rec in block.records:
                     kind, rd, rs1, rs2, imm, instr, fn = rec
-                    if kind <= _K_SIMPLE_MAX:
+                    if kind <= K_AUIPC:
                         if kind == K_ADDI:
-                            value = regs[rs1] + imm
+                            value = (regs[rs1] + imm) & MASK32
                         elif kind == K_ALU:
-                            value = fn(regs[rs1], regs[rs2])
+                            value = fn(regs[rs1], regs[rs2]) & MASK32
                         elif kind == K_ALUI:
-                            value = fn(regs[rs1], imm)
+                            value = fn(regs[rs1], imm) & MASK32
                         elif kind == K_LUI:
-                            value = imm << 12
+                            value = (imm << 12) & MASK32
                         else:  # K_AUIPC
-                            value = instr.addr + (imm << 12)
-                        if slots:
-                            slots -= 1
+                            value = (instr.addr + (imm << 12)) & MASK32
+                        if WINDOW:
+                            if slots:
+                                slots -= 1
+                            else:
+                                front += 1
+                                slots = width - 1
+                            issue = front
                         else:
-                            front += 1
-                            slots = width - 1
-                        issue = front
+                            issue = next_issue
                         a = avail[rs1]
                         if a > issue:
                             issue = a
                         a = avail[rs2]
                         if a > issue:
                             issue = a
-                        stall += issue - front
-                        complete = issue + 1
-                        if rd:
-                            regs[rd] = value & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = complete
-                    elif kind == K_LW or kind == K_LBH:
-                        if kind == K_LW:
-                            size, sign_bit, sign_sub = 4, 0, 0
+                        stall += issue - (front if WINDOW else next_issue)
+                        if WINDOW:
+                            complete = issue + 1
+                            if complete > commit:
+                                commit = complete
+                            cycle = commit
                         else:
-                            size, sign_bit, sign_sub = fn
+                            complete = cycle = issue
+                            next_issue = issue + 1
+                    elif kind == K_LOAD:
+                        size, sign_bit, sign_ext = fn
                         addr = (regs[rs1] + imm) & MASK32
-                        io = addr in mmio
-                        if io or addr % size or addr + size > memsize:
-                            # MMIO reads the live cycle; anything else raises.
-                            core.cycle = fcycle if fix_at == done else commit
+                        if addr % size or addr + size > ram_end:
+                            # MMIO reads the live cycle; a fault raises.
+                            core.cycle = cycle
                             value = mem.read(addr, size)
                         else:
                             value = int.from_bytes(data[addr:addr + size],
                                                    "little")
                         if sign_bit and value & sign_bit:
-                            value -= sign_sub
+                            value |= sign_ext
                         loads += 1
-                        if slots:
-                            slots -= 1
+                        if WINDOW:
+                            if slots:
+                                slots -= 1
+                            else:
+                                front += 1
+                                slots = width - 1
+                            issue = front
                         else:
-                            front += 1
-                            slots = width - 1
-                        issue = front
+                            issue = next_issue
                         a = avail[rs1]
                         if a > issue:
                             issue = a
                         a = avail[rs2]
                         if a > issue:
                             issue = a
-                        stall += issue - front
-                        if lsu > issue:
+                        stall += issue - (front if WINDOW else next_issue)
+                        if WINDOW and lsu > issue:
                             issue = lsu
-                        # The port is busy in the issue cycle
-                        # (``mark_core_busy`` inlined as in the in-order
-                        # executor).
-                        if issue > tl_last:
-                            tl_last = issue
-                        if tl_last >= tl_scan:
-                            tl_append(tl_last)
-                        tl_marks += 1
-                        if io:
-                            complete = issue + mmio_lat  # uncached MMIO
-                            lsu = issue + 2
+                        if (INORDER or addr in mmio
+                                or CACHED and unc_lo <= addr < unc_hi):
+                            # Uncached: one beat on the port.
+                            if issue > tl_last:
+                                tl_last = issue
+                            if tl_last >= tl_scan:
+                                tl_append(tl_last)
+                            tl_marks += 1
+                            complete = issue + io_lat
+                            if WINDOW:
+                                lsu = issue + 2
                         else:
+                            if WINDOW:
+                                # The D$ access holds the LSU port a cycle.
+                                if issue > tl_last:
+                                    tl_last = issue
+                                if tl_last >= tl_scan:
+                                    tl_append(tl_last)
+                                tl_marks += 1
+                                lsu = issue + 1
                             line = addr // line_bytes
                             ways = dget(lines, line % nsets)
                             if ways and ways[-1] == line:
                                 hits += 1  # MRU way: LRU order unchanged
                                 complete = issue + load_lat
-                                lsu = issue + 1
                             elif lookup(addr, False):
                                 complete = issue + load_lat
-                                lsu = issue + 1
                             else:
-                                # Line refill: one port beat per word.
+                                # The refill holds the port for a line.
+                                if CACHED:
+                                    if issue > tl_last:
+                                        tl_last = issue
+                                    if tl_last >= tl_scan:
+                                        tl_append(tl_last)
+                                    tl_marks += 1
                                 for beat in range(issue + 1,
                                                   issue + line_words):
                                     if beat > tl_last:
@@ -976,66 +1057,72 @@ class BlockEngine:
                                     if tl_last >= tl_scan:
                                         tl_append(tl_last)
                                 tl_marks += line_words - 1
-                                complete = issue + load_miss
-                                lsu = issue + refill
-                        if rd:
-                            regs[rd] = value & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = complete
-                    elif kind == K_SW or kind == K_SBH:
-                        size = 4 if kind == K_SW else fn
-                        addr = (regs[rs1] + imm) & MASK32
-                        io = addr in mmio
-                        if io:
-                            # halt/probe record the live cycle
-                            core.cycle = fcycle if fix_at == done else commit
-                            mem.write(addr, regs[rs2], size)
+                                complete = issue + miss_lat
+                                if WINDOW:
+                                    lsu = issue + refill
+                        if WINDOW:
+                            if complete > commit:
+                                commit = complete
+                            cycle = commit
                         else:
-                            if addr % size or addr + size > memsize:
-                                # raises exactly
-                                mem.write(addr, regs[rs2], size)
-                            if size == 4:
+                            cycle = issue
+                            next_issue = issue + 1
+                    elif kind == K_STORE:
+                        addr = (regs[rs1] + imm) & MASK32
+                        if addr % fn or addr + fn > ram_end:
+                            # MMIO (halt and probe record the live cycle);
+                            # a fault raises.
+                            core.cycle = cycle
+                            mem.write(addr, regs[rs2], fn)
+                            io = addr in mmio
+                        else:
+                            io = False
+                            if fn == 4:
                                 data[addr:addr + 4] = regs[rs2].to_bytes(
                                     4, "little")
                             else:
-                                mask = (1 << (8 * size)) - 1
-                                data[addr:addr + size] = (
-                                    regs[rs2] & mask).to_bytes(size, "little")
+                                data[addr:addr + fn] = (
+                                    regs[rs2] & (1 << 8 * fn) - 1).to_bytes(
+                                        fn, "little")
                         stores += 1
-                        if slots:
-                            slots -= 1
+                        if WINDOW:
+                            if slots:
+                                slots -= 1
+                            else:
+                                front += 1
+                                slots = width - 1
+                            issue = front
                         else:
-                            front += 1
-                            slots = width - 1
-                        issue = front
+                            issue = next_issue
                         a = avail[rs1]
                         if a > issue:
                             issue = a
                         a = avail[rs2]
                         if a > issue:
                             issue = a
-                        stall += issue - front
-                        if lsu > issue:
+                        stall += issue - (front if WINDOW else next_issue)
+                        if WINDOW and lsu > issue:
                             issue = lsu
+                        # Every store holds the port in its issue cycle.
                         if issue > tl_last:
                             tl_last = issue
                         if tl_last >= tl_scan:
                             tl_append(tl_last)
                         tl_marks += 1
-                        if io:
-                            complete = issue + mmio_lat
-                            lsu = issue + 2
+                        if INORDER or io or CACHED and unc_lo <= addr < unc_hi:
+                            if WINDOW:
+                                complete = issue + io_lat
+                                lsu = issue + 2
                         else:
+                            if WINDOW:
+                                complete = lsu = issue + 1
                             line = addr // line_bytes
                             ways = dget(lines, line % nsets)
                             if ways and ways[-1] == line:
                                 hits += 1
-                                complete = lsu = issue + 1
-                            elif lookup(addr, True):
-                                complete = lsu = issue + 1
-                            else:
+                            elif not lookup(addr, True) and WINDOW:
+                                # Write-back allocates the line (CVA6's
+                                # write-through D$ does not).
                                 for beat in range(issue + 1,
                                                   issue + line_words):
                                     if beat > tl_last:
@@ -1045,8 +1132,13 @@ class BlockEngine:
                                 tl_marks += line_words - 1
                                 complete = issue + store_miss
                                 lsu = issue + refill
-                        if complete > commit:
-                            commit = complete
+                        if WINDOW:
+                            if complete > commit:
+                                commit = complete
+                            cycle = commit
+                        else:
+                            cycle = issue
+                            next_issue = issue + 1
                         done += 1
                         if io:
                             stale = True
@@ -1055,7 +1147,7 @@ class BlockEngine:
                         if word in decoded or word in addr_map:
                             core.invalidate_code(word)  # self-modifying store
                             break
-                        if commit >= bail:
+                        if cycle >= bail:
                             break
                         continue
                     elif kind == K_BRANCH:
@@ -1065,138 +1157,170 @@ class BlockEngine:
                             takenb += 1
                             pc = (instr.addr + imm) & MASK32
                             pc_set = True
-                        if slots:
-                            slots -= 1
+                        if WINDOW:
+                            if slots:
+                                slots -= 1
+                            else:
+                                front += 1
+                                slots = width - 1
+                            issue = front
                         else:
-                            front += 1
-                            slots = width - 1
-                        issue = front
+                            issue = next_issue
                         a = avail[rs1]
                         if a > issue:
                             issue = a
                         a = avail[rs2]
                         if a > issue:
                             issue = a
-                        stall += issue - front
-                        # Bimodal predictor, as ``predict_and_update``.
-                        index = (instr.addr >> 2) % entries
-                        counter = dget(counters, index, 1)
-                        if taken:
-                            counters[index] = counter + 1 if counter < 3 else 3
-                            miss = counter < 2
+                        stall += issue - (front if WINDOW else next_issue)
+                        if INORDER:
+                            miss = taken  # no predictor: not taken
                         else:
-                            counters[index] = counter - 1 if counter else 0
-                            miss = counter > 1
-                        preds += 1
-                        if miss:
-                            mps += 1
-                            c = issue + redirect  # front-end refill
-                            if c > front:
-                                front = c
-                                slots = width
-                        complete = issue + 1
-                    elif kind == K_JAL or kind == K_JALR:
-                        if kind == K_JALR:
-                            target = (regs[rs1] + imm) & MASK32 & ~1
+                            # Bimodal predictor, as ``predict_and_update``.
+                            index = (instr.addr >> 2) % entries
+                            counter = dget(counters, index, 1)
+                            if taken:
+                                counters[index] = (counter + 1 if counter < 3
+                                                   else 3)
+                                miss = counter < 2
+                            else:
+                                counters[index] = counter - 1 if counter else 0
+                                miss = counter > 1
+                            preds += 1
+                            if miss:
+                                mps += 1
+                        if WINDOW:
+                            if miss:
+                                c = issue + mp_pen  # front-end refill
+                                if c > front:
+                                    front = c
+                                    slots = width
+                            complete = issue + 1
+                            if complete > commit:
+                                commit = complete
+                            cycle = commit
                         else:
-                            target = (instr.addr + imm) & MASK32
-                        if slots:
-                            slots -= 1
+                            cycle = issue + mp_pen if miss else issue
+                            next_issue = cycle + 1
+                    elif kind <= K_JALR:
+                        if kind == K_JAL:
+                            pc = (instr.addr + imm) & MASK32
                         else:
-                            front += 1
-                            slots = width - 1
-                        issue = front
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - front
-                        complete = issue + 1
-                        if rd:
-                            regs[rd] = (instr.addr + 4) & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = complete
-                        if kind == K_JALR:
-                            # The indirect target resolves at issue.
-                            c = issue + 2
-                            if c > front:
-                                front = c
-                                slots = width
-                        pc = target
+                            pc = (regs[rs1] + imm) & MASK32 & ~1
                         pc_set = True
-                    elif kind == K_MUL or kind == K_DIV:
-                        value = fn(regs[rs1], regs[rs2])
-                        if slots:
-                            slots -= 1
+                        if rd:
+                            value = (instr.addr + 4) & MASK32
+                        if WINDOW:
+                            if slots:
+                                slots -= 1
+                            else:
+                                front += 1
+                                slots = width - 1
+                            issue = front
                         else:
-                            front += 1
-                            slots = width - 1
-                        issue = front
+                            issue = next_issue
                         a = avail[rs1]
                         if a > issue:
                             issue = a
                         a = avail[rs2]
                         if a > issue:
                             issue = a
-                        stall += issue - front
-                        complete = issue + (mul_lat if kind == K_MUL
-                                            else div_cyc)
-                        if rd:
-                            regs[rd] = value & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = complete
+                        stall += issue - (front if WINDOW else next_issue)
+                        if WINDOW:
+                            if kind == K_JALR:
+                                # The indirect target resolves at issue.
+                                c = issue + 2
+                                if c > front:
+                                    front = c
+                                    slots = width
+                            complete = issue + 1
+                            if complete > commit:
+                                commit = complete
+                            cycle = commit
+                        else:
+                            complete = issue
+                            cycle = issue + jump_pen
+                            next_issue = cycle + 1
+                    elif kind <= K_DIV:
+                        value = fn(regs[rs1], regs[rs2]) & MASK32
+                        if WINDOW:
+                            if slots:
+                                slots -= 1
+                            else:
+                                front += 1
+                                slots = width - 1
+                            issue = front
+                        else:
+                            issue = next_issue
+                        a = avail[rs1]
+                        if a > issue:
+                            issue = a
+                        a = avail[rs2]
+                        if a > issue:
+                            issue = a
+                        stall += issue - (front if WINDOW else next_issue)
+                        if WINDOW:
+                            complete = issue + (mul_lat if kind == K_MUL
+                                                else div_lat)
+                            if complete > commit:
+                                commit = complete
+                            cycle = commit
+                        elif kind == K_MUL:
+                            complete = issue + mul_lat
+                            cycle = issue
+                            next_issue = issue + 1
+                        else:
+                            complete = issue
+                            cycle = issue + div_lat
+                            next_issue = cycle + 1
                     elif kind == K_CSR:
-                        old = fn(regs[rs1])
-                        if slots:
-                            slots -= 1
+                        value = fn(regs[rs1])
+                        if WINDOW:
+                            if slots:
+                                slots -= 1
+                            else:
+                                front += 1
+                                slots = width - 1
+                            issue = front
                         else:
-                            front += 1
-                            slots = width - 1
-                        issue = front
+                            issue = next_issue
                         a = avail[rs1]
                         if a > issue:
                             issue = a
                         a = avail[rs2]
                         if a > issue:
                             issue = a
-                        stall += issue - front
-                        complete = issue + csr_cyc
-                        if rd:
-                            regs[rd] = old
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = complete
-                        if complete > commit:
-                            commit = complete
-                        # ``next_issue`` is taken before the serialising flush.
-                        fcycle = commit
-                        fnext = front if front > issue + 1 else issue + 1
-                        fix_at = done + 1
-                        if complete > front:
-                            front = complete
-                            slots = width
+                        stall += issue - (front if WINDOW else next_issue)
+                        if WINDOW:
+                            complete = issue + csr_lat
+                            if complete > commit:
+                                commit = complete
+                            cycle = commit
+                            # Fixed before the serialising flush.
+                            next_issue = (front if front > issue + 1
+                                          else issue + 1)
+                            fix_at = done + 1
+                            if complete > front:
+                                front = complete
+                                slots = width
+                        else:
+                            complete = issue
+                            cycle = issue + csr_lat
+                            next_issue = cycle + 1
                         if imm:
                             # mstatus/mie write: interrupts may have been
                             # enabled or masked — resync the horizon in
                             # place and keep going under the new bail.
                             stale = True
-                            core.cycle = commit
+                            core.cycle = cycle
                             h = self._horizon()
                             bail = h if h < limit else limit
                     elif kind == K_CUSTOM:
                         # Block-resident: same issue/commit arithmetic as
                         # ``_step_custom``, effects via the per-op handler.
                         # Custom ops take no front-end slot.
-                        if fix_at == done:
-                            c = fnext
-                        else:
+                        c = next_issue
+                        if WINDOW and fix_at != done:
                             c = front if front > issue + 1 else issue + 1
                         a = avail[rs1]
                         if a > c:
@@ -1205,38 +1329,33 @@ class BlockEngine:
                         if a > c:
                             c = a
                         c += custom_delay
-                        rdv, complete = fn(regs[rs1], regs[rs2], c)
-                        if complete < c:
-                            complete = c
-                        if rd:
-                            regs[rd] = rdv & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = complete + 1
+                        value, cycle = fn(regs[rs1], regs[rs2], c)
+                        value &= MASK32
+                        if cycle < c:
+                            cycle = c
+                        complete = next_issue = cycle + 1
                         customs += 1
                         tl_scan = timeline._scan  # the FSMs may have consumed
-                        done += 1
-                        fcycle = complete
-                        fnext = complete + 1
-                        fix_at = done
+                        if WINDOW:
+                            fix_at = done + 1
                         if imm:
                             # Restored MSTATUS/MEPC — resync the horizon in
                             # place and keep going under the new bail.
                             stale = True
-                            core.cycle = complete
+                            core.cycle = cycle
                             h = self._horizon()
                             bail = h if h < limit else limit
-                        if complete >= bail:
-                            break
-                        continue
                     else:  # K_CUSTOM_BRK
                         brk = instr
                         break
-                    if complete > commit:
-                        commit = complete
+                    if rd:
+                        regs[rd] = value
+                        regw += 1
+                        if track_dirty:
+                            dirty |= 1 << rd
+                        avail[rd] = complete
                     done += 1
-                    if commit >= bail:
+                    if cycle >= bail:
                         break
                 else:
                     # Clean completion: chain into the next cached block
@@ -1260,16 +1379,15 @@ class BlockEngine:
                 core.pc = instr.addr
             raise
         finally:
-            if fix_at == done:
-                core.cycle = fcycle
-                core.next_issue = fnext
-            else:
-                core.cycle = commit
-                core.next_issue = front if front > issue + 1 else issue + 1
-            core._front = front
-            core._front_slots = slots
-            core._last_commit = commit
-            core._lsu_next = lsu
+            if WINDOW:
+                if fix_at != done:
+                    next_issue = front if front > issue + 1 else issue + 1
+                core._front = front
+                core._front_slots = slots
+                core._last_commit = commit
+                core._lsu_next = lsu
+            core.cycle = cycle
+            core.next_issue = next_issue
             if tl_marks:
                 timeline._last_marked = tl_last
                 timeline.core_cycles += tl_marks
@@ -1297,603 +1415,11 @@ class BlockEngine:
                 self.chained += chained
         if brk is not None:
             # May reschedule (bank switch / context restore): run the
-            # exact path on the synced core; it ends the block.
+            # exact path on the synced core; it ends the call.
             core.pc = brk.addr
             core._step_custom(brk)
             stats.instret += 1
             self.fast_instret += 1
             return True
-        core.pc = pc if pc_set else (instr.addr + 4) & MASK32
-        return stale
-
-    def _exec_block_inorder(self, block, bail, limit):
-        """Fully inlined loop for cores on BaseCore's in-order timing.
-
-        Hot state (cycle, next_issue, stat deltas, the active register
-        bank) is hoisted into locals and synced back on every exit path;
-        ``core.cycle`` is synced *before* any MMIO delegate (mtime and
-        probe records read it). The bank cannot change inside a block
-        (traps/mret and rescheduling custom ops are never predecoded;
-        block-resident custom ops never switch banks), so hoisting
-        ``regs`` once per block is exact. On CVA6 (``cached``) the
-        memory and branch arms also inline its ``_mem_time`` and
-        ``_branch_time``: MMIO and the uncached context range cost one
-        bus beat, loads probe the write-through, no-allocate D$ (a miss
-        refills a line over the bus), every store takes a bus beat and
-        refreshes a D$ hit, and branches train the bimodal predictor;
-        the D$ hit and predictor counters are written back at exit.
-        Horizon-writing records (mstatus/mie CSR writes,
-        context-restoring custom ops) do not end the block here: they
-        recompute the horizon in place —
-        ``self._horizon()`` is side-effect-free — clamp ``bail`` to
-        ``limit`` (the caller's cycle ceiling), and keep executing; the
-        per-record ``cycle >= bail`` check then lands the exact-path
-        interrupt poll on the same instruction boundary as before.
-
-        Blocks chain: after a clean completion the loop probes the block
-        cache for the next PC itself, exactly as :meth:`dispatch` would
-        (raw ``dict.get``, a block hit, LRU refresh once the cache is
-        full), and keeps running under the same ``bail`` with its locals
-        hoisted. That is exact because a clean completion leaves the
-        core where dispatch would find it: not halted and below
-        ``bail``, which a horizon-writing record has already resynced
-        in place. The loop returns to dispatch at the bail cycle, at a
-        PC with no cached block, before a spin loop (dispatch runs those
-        one iteration per call), after an MMIO or self-modifying store
-        and at a rescheduling custom op. Returns True when dispatch's
-        cached interrupt horizon is stale: after the last two of those,
-        or after a horizon write anywhere in the call.
-        """
-        core = self.core
-        (mem, data, memsize, avail, stats, decoded, addr_map, mmio,
-         config_dirty, custom_delay, cache, cap, cached, load_lat,
-         taken_pen, jump_pen, mul_lat, div_cyc, csr_pen) = self._hoist
-        if cached:
-            (dcache, lines, nsets, line_bytes, lookup, predictor, counters,
-             entries, mp_pen, miss_lat, unc_lat,
-             line_words) = self._cache_hoist
-            # The System adds CVA6's one uncached range (the context
-            # region) after the engine is built, so it is read per call.
-            (unc_lo, unc_hi), = core.uncached_ranges or _NO_RANGE
-            hits = preds = mps = 0
-        dget = dict.get
-        # ``mark_core_busy`` inlined: the busy queue appends eagerly while
-        # the scan fence and last-mark clamp stay in locals. The fence is
-        # reread after a resident custom handler, whose FSMs may consume
-        # free cycles. ``_last_marked`` is only ever touched by marking,
-        # so the local copy is authoritative.
-        timeline = core.timeline
-        tl_append = timeline._busy.append
-        tl_scan = timeline._scan
-        tl_last = timeline._last_marked
-        tl_marks = 0
-        bank = core.active_bank
-        regs = core.banks[bank]
-        track_dirty = bank == 0 and config_dirty
-        cycle = core.cycle
-        next_issue = core.next_issue
-        loads = stores = branches = takenb = regw = stall = customs = 0
-        dirty = done = chained = 0
-        instr = None
-        pc_set = stale = False
-        try:
-            while True:
-                for rec in block.records:
-                    kind, rd, rs1, rs2, imm, instr, fn = rec
-                    if kind <= _K_SIMPLE_MAX:
-                        # Zero-penalty, zero-latency ALU class.
-                        if kind == K_ADDI:
-                            value = regs[rs1] + imm
-                        elif kind == K_ALU:
-                            value = fn(regs[rs1], regs[rs2])
-                        elif kind == K_ALUI:
-                            value = fn(regs[rs1], imm)
-                        elif kind == K_LUI:
-                            value = imm << 12
-                        else:  # K_AUIPC
-                            value = instr.addr + (imm << 12)
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if rd:
-                            regs[rd] = value & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = issue
-                        cycle = issue
-                        next_issue = issue + 1
-                    elif kind == K_LW:
-                        addr = (regs[rs1] + imm) & MASK32
-                        if addr in mmio:
-                            core.cycle = cycle  # mtime reads the live cycle
-                            value = mem.read(addr, 4)
-                        elif addr & 3 or addr + 4 > memsize:
-                            value = mem.read(addr, 4)  # raises exactly
-                        else:
-                            value = int.from_bytes(data[addr:addr + 4],
-                                                   "little")
-                        if rd:
-                            regs[rd] = value
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                        loads += 1
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if cached:
-                            if addr in mmio or unc_lo <= addr < unc_hi:
-                                # Uncached: one bus beat.
-                                if issue >= tl_last:
-                                    tl_last = issue
-                                if tl_last >= tl_scan:
-                                    tl_append(tl_last)
-                                tl_marks += 1
-                                rlat = unc_lat
-                            else:
-                                line = addr // line_bytes
-                                ways = dget(lines, line % nsets)
-                                if ways and ways[-1] == line:
-                                    hits += 1  # MRU way: LRU order unchanged
-                                    rlat = load_lat
-                                elif lookup(addr, False):
-                                    rlat = load_lat
-                                else:
-                                    # The refill holds the bus for a line.
-                                    for beat in range(issue,
-                                                      issue + line_words):
-                                        if beat > tl_last:
-                                            tl_last = beat
-                                        if tl_last >= tl_scan:
-                                            tl_append(tl_last)
-                                    tl_marks += line_words
-                                    rlat = miss_lat
-                            if rd:
-                                avail[rd] = issue + rlat
-                        else:
-                            if issue >= tl_last:
-                                tl_last = issue
-                            if tl_last >= tl_scan:
-                                tl_append(tl_last)
-                            tl_marks += 1
-                            if rd:
-                                avail[rd] = issue + load_lat
-                        cycle = issue
-                        next_issue = issue + 1
-                    elif kind == K_SW:
-                        addr = (regs[rs1] + imm) & MASK32
-                        if addr in mmio:
-                            # probe/halt record the live cycle
-                            core.cycle = cycle
-                            mem.write(addr, regs[rs2], 4)
-                            stores += 1
-                            issue = next_issue
-                            a = avail[rs1]
-                            if a > issue:
-                                issue = a
-                            a = avail[rs2]
-                            if a > issue:
-                                issue = a
-                            stall += issue - next_issue
-                            # MMIO is uncached on every core: one bus beat.
-                            if issue >= tl_last:
-                                tl_last = issue
-                            if tl_last >= tl_scan:
-                                tl_append(tl_last)
-                            tl_marks += 1
-                            cycle = issue
-                            next_issue = issue + 1
-                            done += 1
-                            stale = True
-                            break  # halt/msip/mtimecmp may have changed
-                        if addr & 3 or addr + 4 > memsize:
-                            mem.write(addr, regs[rs2], 4)  # raises exactly
-                        data[addr:addr + 4] = regs[rs2].to_bytes(4, "little")
-                        stores += 1
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if cached and not unc_lo <= addr < unc_hi:
-                            # Write-through, no allocate: only a hit moves
-                            # the D$; the bus beat below is paid either way.
-                            line = addr // line_bytes
-                            ways = dget(lines, line % nsets)
-                            if ways and ways[-1] == line:
-                                hits += 1
-                            else:
-                                lookup(addr, True)
-                        if issue >= tl_last:
-                            tl_last = issue
-                        if tl_last >= tl_scan:
-                            tl_append(tl_last)
-                        tl_marks += 1
-                        cycle = issue
-                        next_issue = issue + 1
-                        done += 1
-                        word = addr & _WORD
-                        if word in decoded or word in addr_map:
-                            core.invalidate_code(word)  # self-modifying store
-                            break
-                        if cycle >= bail:
-                            break
-                        continue
-                    elif kind == K_BRANCH:
-                        branches += 1
-                        taken = fn(regs[rs1], regs[rs2])
-                        if taken:
-                            takenb += 1
-                            pc = (instr.addr + imm) & MASK32
-                            pc_set = True
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if cached:
-                            # Bimodal predictor, as ``predict_and_update``.
-                            index = (instr.addr >> 2) % entries
-                            counter = dget(counters, index, 1)
-                            if taken:
-                                counters[index] = (counter + 1 if counter < 3
-                                                   else 3)
-                                miss = counter < 2
-                            else:
-                                counters[index] = counter - 1 if counter else 0
-                                miss = counter > 1
-                            preds += 1
-                            if miss:
-                                mps += 1
-                                cycle = issue + mp_pen
-                            else:
-                                cycle = issue
-                        else:
-                            cycle = issue + (taken_pen if taken else 0)
-                        next_issue = cycle + 1
-                    elif kind == K_JAL:
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if rd:
-                            regs[rd] = (instr.addr + 4) & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = issue
-                        pc = (instr.addr + imm) & MASK32
-                        pc_set = True
-                        cycle = issue + jump_pen
-                        next_issue = cycle + 1
-                    elif kind == K_JALR:
-                        target = (regs[rs1] + imm) & MASK32 & ~1
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if rd:
-                            regs[rd] = (instr.addr + 4) & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = issue
-                        pc = target
-                        pc_set = True
-                        cycle = issue + jump_pen
-                        next_issue = cycle + 1
-                    elif kind == K_LBH:
-                        size, sign_bit, sign_sub = fn
-                        addr = (regs[rs1] + imm) & MASK32
-                        if addr in mmio:
-                            core.cycle = cycle
-                            value = mem.read(addr, size)
-                        elif addr % size or addr + size > memsize:
-                            value = mem.read(addr, size)  # raises exactly
-                        else:
-                            value = int.from_bytes(data[addr:addr + size],
-                                                   "little")
-                        if sign_bit and value & sign_bit:
-                            value -= sign_sub
-                        if rd:
-                            regs[rd] = value & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                        loads += 1
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if cached:
-                            if addr in mmio or unc_lo <= addr < unc_hi:
-                                if issue >= tl_last:
-                                    tl_last = issue
-                                if tl_last >= tl_scan:
-                                    tl_append(tl_last)
-                                tl_marks += 1
-                                rlat = unc_lat
-                            else:
-                                line = addr // line_bytes
-                                ways = dget(lines, line % nsets)
-                                if ways and ways[-1] == line:
-                                    hits += 1
-                                    rlat = load_lat
-                                elif lookup(addr, False):
-                                    rlat = load_lat
-                                else:
-                                    for beat in range(issue,
-                                                      issue + line_words):
-                                        if beat > tl_last:
-                                            tl_last = beat
-                                        if tl_last >= tl_scan:
-                                            tl_append(tl_last)
-                                    tl_marks += line_words
-                                    rlat = miss_lat
-                            if rd:
-                                avail[rd] = issue + rlat
-                        else:
-                            if issue >= tl_last:
-                                tl_last = issue
-                            if tl_last >= tl_scan:
-                                tl_append(tl_last)
-                            tl_marks += 1
-                            if rd:
-                                avail[rd] = issue + load_lat
-                        cycle = issue
-                        next_issue = issue + 1
-                    elif kind == K_SBH:
-                        size = fn
-                        addr = (regs[rs1] + imm) & MASK32
-                        if addr in mmio:
-                            core.cycle = cycle
-                            mem.write(addr, regs[rs2], size)
-                            stores += 1
-                            issue = next_issue
-                            a = avail[rs1]
-                            if a > issue:
-                                issue = a
-                            a = avail[rs2]
-                            if a > issue:
-                                issue = a
-                            stall += issue - next_issue
-                            if issue >= tl_last:
-                                tl_last = issue
-                            if tl_last >= tl_scan:
-                                tl_append(tl_last)
-                            tl_marks += 1
-                            cycle = issue
-                            next_issue = issue + 1
-                            done += 1
-                            stale = True
-                            break
-                        if addr % size or addr + size > memsize:
-                            mem.write(addr, regs[rs2], size)  # raises exactly
-                        mask = (1 << (8 * size)) - 1
-                        data[addr:addr + size] = (regs[rs2] & mask).to_bytes(
-                            size, "little")
-                        stores += 1
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if cached and not unc_lo <= addr < unc_hi:
-                            line = addr // line_bytes
-                            ways = dget(lines, line % nsets)
-                            if ways and ways[-1] == line:
-                                hits += 1
-                            else:
-                                lookup(addr, True)
-                        if issue >= tl_last:
-                            tl_last = issue
-                        if tl_last >= tl_scan:
-                            tl_append(tl_last)
-                        tl_marks += 1
-                        cycle = issue
-                        next_issue = issue + 1
-                        done += 1
-                        word = addr & _WORD
-                        if word in decoded or word in addr_map:
-                            core.invalidate_code(word)
-                            break
-                        if cycle >= bail:
-                            break
-                        continue
-                    elif kind == K_MUL:
-                        value = fn(regs[rs1], regs[rs2])
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if rd:
-                            regs[rd] = value & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = issue + mul_lat
-                        cycle = issue
-                        next_issue = issue + 1
-                    elif kind == K_DIV:
-                        value = fn(regs[rs1], regs[rs2])
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if rd:
-                            regs[rd] = value & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = issue
-                        cycle = issue + div_cyc
-                        next_issue = cycle + 1
-                    elif kind == K_CSR:
-                        # Zicsr: effects via the prebuilt closure, timing as
-                        # in ``_time``'s CSR arm (zero result latency,
-                        # ``csr_cycles - 1`` completion penalty).
-                        old = fn(regs[rs1])
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        stall += issue - next_issue
-                        if rd:
-                            regs[rd] = old
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = issue
-                        cycle = issue + csr_pen
-                        next_issue = cycle + 1
-                        if imm:
-                            # mstatus/mie write: interrupts may have been
-                            # enabled or masked — resync the horizon in
-                            # place and keep going under the new bail.
-                            stale = True
-                            core.cycle = cycle
-                            h = self._horizon()
-                            bail = h if h < limit else limit
-                    elif kind == K_CUSTOM or kind == K_CUSTOM_BRK:
-                        if kind == K_CUSTOM_BRK:
-                            # May reschedule (bank switch / context restore):
-                            # run the exact path and end the block.
-                            core.cycle = cycle
-                            core.next_issue = next_issue
-                            core.pc = instr.addr
-                            core._step_custom(instr)
-                            cycle = core.cycle
-                            next_issue = core.next_issue
-                            pc = core.pc
-                            pc_set = True
-                            done += 1
-                            stale = True
-                            break
-                        # Block-resident: same issue/commit arithmetic as
-                        # ``_step_custom``, effects via the per-op handler.
-                        issue = next_issue
-                        a = avail[rs1]
-                        if a > issue:
-                            issue = a
-                        a = avail[rs2]
-                        if a > issue:
-                            issue = a
-                        issue += custom_delay
-                        rdv, complete = fn(regs[rs1], regs[rs2], issue)
-                        if complete < issue:
-                            complete = issue
-                        if rd:
-                            regs[rd] = rdv & MASK32
-                            regw += 1
-                            if track_dirty:
-                                dirty |= 1 << rd
-                            avail[rd] = complete + 1
-                        customs += 1
-                        tl_scan = timeline._scan  # the FSMs may have consumed
-                        cycle = complete
-                        next_issue = complete + 1
-                        if imm:
-                            # Restored MSTATUS/MEPC — resync the horizon in
-                            # place and keep going under the new bail.
-                            stale = True
-                            core.cycle = cycle
-                            h = self._horizon()
-                            bail = h if h < limit else limit
-                    done += 1
-                    if cycle >= bail:
-                        break
-                else:
-                    # Clean completion: chain into the next cached block
-                    # with dispatch's probe, hit count and LRU refresh.
-                    if not pc_set:
-                        pc = (instr.addr + 4) & MASK32
-                        pc_set = True
-                    block = dget(cache, pc)
-                    if block is None or block.spin is not None:
-                        break  # slow, not built yet or a spin loop
-                    if len(cache) >= cap:
-                        cache.move_to_end(pc)
-                    chained += 1
-                    pc_set = False
-                    continue
-                break
-        except BaseException:
-            # Exact-path contract: a faulting instruction leaves pc at its
-            # own address and the cycle at the previous completion.
-            if instr is not None:
-                core.pc = instr.addr
-            raise
-        finally:
-            core.cycle = cycle
-            core.next_issue = next_issue
-            if tl_marks:
-                timeline._last_marked = tl_last
-                timeline.core_cycles += tl_marks
-            if cached:
-                if hits:
-                    dcache.hits += hits
-                if preds:
-                    predictor.predictions += preds
-                    if mps:
-                        predictor.mispredictions += mps
-                        stats.mispredicts += mps
-            stats.instret += done
-            stats.loads += loads
-            stats.stores += stores
-            stats.branches += branches
-            stats.taken_branches += takenb
-            stats.reg_writes += regw
-            stats.stall_cycles += stall
-            if customs:
-                stats.custom_ops += customs
-            if dirty:
-                core.dirty_mask |= dirty
-            self.fast_instret += done
-            if chained:
-                self.hits += chained
-                self.chained += chained
         core.pc = pc if pc_set else (instr.addr + 4) & MASK32
         return stale

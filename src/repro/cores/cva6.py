@@ -8,8 +8,8 @@ RTOSUnit words always cost a bus access, while the core's cache *hits*
 leave the bus free.
 
 ``_mem_time`` and ``_branch_time`` are the reference model: the exact
-path calls them per instruction, and the block engine's in-order
-executor (:mod:`repro.cores.blocks`) runs the same D$, uncached-range
+path calls them per instruction, and the block executor's ``cached``
+timing arms (:mod:`repro.cores.blocks`) run the same D$, uncached-range
 and predictor logic inline. The on/off differential tests compare the
 two, D$ and predictor state included.
 """
@@ -47,7 +47,7 @@ class CVA6(BaseCore):
 
     def __init__(self, *args, **kwargs):
         # Built before ``BaseCore.__init__``, whose block engine hoists
-        # both into its in-order executor.
+        # both for its executor's ``cached`` timing arms.
         self.dcache = WriteThroughCache(size_bytes=8 * 1024, ways=4,
                                         line_bytes=32)
         self.predictor = BimodalPredictor(entries=128)

@@ -15,10 +15,11 @@ stay cacheable. The CV32RT comparison point instead bypasses the cache
 with a dedicated port and must invalidate the snapshot lines (§6).
 
 ``_time`` (with ``_mem_latency`` and ``_flush_front``) is the reference
-model: the exact path calls it per instruction, and the block engine's
-architectural executor (:mod:`repro.cores.blocks`) runs the same window
-inline, record by record, with the window state held in locals. The
-on/off differential tests compare the two, window state included.
+model: the exact path calls it per instruction, and the block
+executor's ``window`` timing arms (:mod:`repro.cores.blocks`) run the
+same window inline, record by record, with the window state held in
+locals. The on/off differential tests compare the two, window state
+included.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class NaxRiscv(BaseCore):
 
     def __init__(self, *args, **kwargs):
         # Built before ``BaseCore.__init__``, whose block engine hoists
-        # both into its architectural executor.
+        # both for its executor's ``window`` timing arms.
         self.dcache = WriteBackCache(size_bytes=16 * 1024, ways=4,
                                      line_bytes=32)
         self.predictor = BimodalPredictor(entries=512)

@@ -1,19 +1,24 @@
 """Unit tests for the basic-block predecoded interpreter.
 
 Covers predecode boundaries, the block cache (LRU bounds, eviction,
-slow-pc memoisation), the interrupt horizon, and per-fragment parity
-between block dispatch and the exact per-instruction path on every
-core. The broader suite-level equivalence lives in
+slow-pc memoisation), the interrupt horizon, per-fragment and
+per-fault parity between block dispatch and the exact per-instruction
+path on every core, and the executor's compilation per timing model.
+The broader suite-level equivalence lives in
 ``test_blocks_differential.py``.
 """
+
+import dis
+import inspect
+import pathlib
 
 import pytest
 
 from repro.cores import CORE_CLASSES
-from repro.cores.blocks import (MAX_BLOCK_INSTRS, BlockEngine, _classify_csr,
-                                _classify_inorder)
+from repro.cores.blocks import (MAX_BLOCK_INSTRS, BlockEngine, _classify,
+                                _classify_csr)
 from repro.cores.system import System
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.isa.assembler import assemble
 from repro.isa.instructions import SPECS, SYNC_OPS, Instr
 from repro.rtosunit.config import parse_config
@@ -164,6 +169,97 @@ loop:
         assert on.core.perf_counters()["fast_instret"] > 0
 
 
+#: Each fragment faults on a record inside its first block, after
+#: records whose timing (a ``mul``'s latency, a D$-probing ``lw``) the
+#: executor holds in locals until it exits.
+FAULTS = {
+    "misaligned_lw_after_mul": """
+    li   s1, 6
+    li   s2, 7
+    la   s3, buf
+    mul  s4, s1, s2
+    lw   s5, 2(s3)
+""",
+    "misaligned_sh": """
+    la   s3, buf
+    addi s1, s1, 5
+    sh   s1, 1(s3)
+""",
+    "out_of_ram_lw": """
+    li   s3, 0x100000
+    addi s1, s1, 1
+    lw   s5, 0(s3)
+""",
+    "out_of_ram_sw_after_dcache_lw": """
+    la   s3, buf
+    li   s4, 0x100000
+    lw   s5, 0(s3)
+    sw   s5, 0(s4)
+""",
+}
+
+
+class TestFaultParity:
+    @staticmethod
+    def _fault(source, core, blocks):
+        system = System(CORE_CLASSES[core], parse_config("vanilla"),
+                        tick_period=1 << 30)
+        cpu = system.core
+        if not blocks:
+            cpu.block_engine = None
+        system.load(assemble(source + HALT_TAIL + "buf: .word 0x1234\n",
+                             origin=0))
+        with pytest.raises(ReproError) as caught:
+            system.run(max_cycles=200_000)
+        fast = cpu.perf_counters()["fast_instret"]
+        return (type(caught.value), str(caught.value), cpu.pc,
+                _state(system)), fast
+
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_fault_leaves_exact_state(self, core, name):
+        # The executor's exception path writes its locals back and
+        # leaves pc on the faulting record, as the exact path does.
+        on, on_fast = self._fault(FAULTS[name], core, blocks=True)
+        off, off_fast = self._fault(FAULTS[name], core, blocks=False)
+        assert on == off
+        assert on_fast > 0 and off_fast == 0  # the executor faulted
+
+
+class TestSpecialisation:
+    @staticmethod
+    def _engine(core):
+        system = System(CORE_CLASSES[core], parse_config("vanilla"))
+        return system.core.block_engine
+
+    def test_one_compiled_executor_per_core_class(self):
+        codes = set()
+        for core in sorted(CORE_CLASSES):
+            first, second = self._engine(core), self._engine(core)
+            assert first._exec_block.__func__ is second._exec_block.__func__
+            assert first.dispatch.__func__ is second.dispatch.__func__
+            codes.add(first._exec_block.__code__)
+        assert len(codes) == len(CORE_CLASSES) == 3
+
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_specialised_code_points_at_its_source(self, core):
+        engine = self._engine(core)
+        for name in ("_exec_block", "dispatch"):
+            source, first = inspect.getsourcelines(
+                getattr(BlockEngine, name))
+            code = getattr(engine, name).__code__
+            assert pathlib.Path(code.co_filename).name == "blocks.py"
+            lines = {line for _, _, line in code.co_lines() if line}
+            assert first <= min(lines) <= max(lines) < first + len(source)
+            # The model names folded away, and with them the other
+            # models' arms: only NaxRiscv's copy touches its window.
+            assert not {"INORDER", "CACHED", "WINDOW"} & set(code.co_names)
+        names = {instr.argval for instr in dis.get_instructions(
+            engine._exec_block) if instr.opname.endswith("_ATTR")}
+        assert ("_front" in names) == (core == "naxriscv")
+        assert ("uncached_ranges" in names) == (core == "cva6")
+
+
 class TestPredecodeBoundaries:
     def test_block_ends_at_branch(self):
         system = _run("""
@@ -259,7 +355,7 @@ done:
         for mnemonic, spec in SPECS.items():
             instr = Instr(mnemonic, rd=5, rs1=6, rs2=7, imm=4, csr=0x340,
                           fmt=spec.fmt)
-            paths = [_classify_inorder(instr) is not None,
+            paths = [_classify(instr) is not None,
                      _classify_csr(instr, {}) is not None,
                      mnemonic in SYNC_OPS]
             assert sum(paths) == 1, (mnemonic, paths)

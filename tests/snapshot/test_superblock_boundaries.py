@@ -6,8 +6,8 @@ chaining only probes that cache — so a ``System.capture()`` taken
 mid-run, with blocks already chaining, must restore to a state whose
 continued run is byte-identical to an uninterrupted cold run. These
 tests pin that contract on all three cores, including the OoO model,
-whose window the architectural executor keeps in locals only while it
-runs and writes back to the core on every exit.
+whose window the block executor keeps in locals only while it runs and
+writes back to the core on every exit.
 
 Two workloads chain differently. ``yield_pingpong`` chains
 straight-line kernel blocks. In ``interrupt_response`` the background
