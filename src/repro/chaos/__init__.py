@@ -24,9 +24,7 @@ whole service stack, which in turn hooks back into these sites).
 """
 
 from repro.chaos.hooks import (
-    ENV_VAR,
     active,
-    ensure_from_env,
     fire,
     install,
     installed,
@@ -46,13 +44,11 @@ from repro.chaos.model import (
 __all__ = [
     "CHAOS_KINDS",
     "CHAOS_SITES",
-    "ENV_VAR",
     "ChaosPolicy",
     "ChaosSpec",
     "InjectedCrash",
     "SITE_KINDS",
     "active",
-    "ensure_from_env",
     "fire",
     "generate_chaos",
     "install",

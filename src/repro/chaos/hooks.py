@@ -14,11 +14,9 @@ data-corruption kinds (``corrupt_blob``, ``truncate_blob``,
 ``partial_write``, ``drop_result``) are returned to the caller, which
 alone knows what payload to mangle.
 
-Process pools complicate one thing: a policy installed in the parent is
-invisible to forked/spawned workers. ``install(policy, env=True)``
-additionally publishes the policy as ``REPRO_CHAOS`` JSON;
-:func:`ensure_from_env` (called by the pool worker entry point) adopts
-it, each worker replaying visits from its own counters.
+Process pools always fork their workers (``repro.dse.executor.WorkerPool``),
+so a worker inherits the policy installed when its pool starts and
+replays visits from its own copy of the counters.
 """
 
 from __future__ import annotations
@@ -29,29 +27,19 @@ import time
 
 from repro.chaos.model import ChaosPolicy, InjectedCrash
 
-#: Environment variable carrying a serialized policy into pool workers.
-ENV_VAR = "REPRO_CHAOS"
-
 _POLICY: ChaosPolicy | None = None
 
 
-def install(policy: ChaosPolicy, env: bool = False) -> None:
-    """Make *policy* the process-wide chaos policy.
-
-    ``env=True`` also exports it as :data:`ENV_VAR` so process-pool
-    workers spawned afterwards adopt it via :func:`ensure_from_env`.
-    """
+def install(policy: ChaosPolicy) -> None:
+    """Make *policy* the process-wide chaos policy."""
     global _POLICY
     _POLICY = policy
-    if env:
-        os.environ[ENV_VAR] = policy.to_json()
 
 
 def uninstall() -> None:
-    """Remove any installed policy (and its environment export)."""
+    """Remove any installed policy."""
     global _POLICY
     _POLICY = None
-    os.environ.pop(ENV_VAR, None)
 
 
 def active() -> ChaosPolicy | None:
@@ -59,20 +47,10 @@ def active() -> ChaosPolicy | None:
     return _POLICY
 
 
-def ensure_from_env() -> None:
-    """Adopt the :data:`ENV_VAR` policy if none is installed yet.
-
-    Called on the worker side of the process-pool boundary; a no-op in
-    the common case (no variable, or a policy already installed).
-    """
-    if _POLICY is None and ENV_VAR in os.environ:
-        install(ChaosPolicy.from_json(os.environ[ENV_VAR]))
-
-
 @contextlib.contextmanager
-def installed(policy: ChaosPolicy, env: bool = False):
+def installed(policy: ChaosPolicy):
     """Scope a policy to a ``with`` block (tests and campaign episodes)."""
-    install(policy, env=env)
+    install(policy)
     try:
         yield policy
     finally:

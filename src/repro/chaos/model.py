@@ -38,7 +38,6 @@ Chaos kinds
 
 from __future__ import annotations
 
-import json
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -202,31 +201,6 @@ class ChaosPolicy:
             self.fired.append((site, visit, spec.kind))
             return spec
         return None
-
-    # -- serialization (REPRO_CHAOS env round-trip) --------------------------
-
-    def as_dict(self) -> dict:
-        return {"seed": self.seed, "hard_crash": self.hard_crash,
-                "specs": [spec.as_dict() for spec in self.specs]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChaosPolicy":
-        return cls(specs=tuple(ChaosSpec.from_dict(item)
-                               for item in payload.get("specs", [])),
-                   seed=int(payload.get("seed", 0)),
-                   hard_crash=bool(payload.get("hard_crash", False)))
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPolicy":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ChaosInjectionError(
-                f"malformed chaos policy JSON: {exc}") from exc
-        return cls.from_dict(payload)
 
 
 def generate_chaos(seed: int, count: int,

@@ -105,13 +105,6 @@ class BaseCore:
     """In-order scalar core with per-register availability timing."""
 
     PARAMS = CoreParams()
-    #: Where RTOSUnit memory traffic is arbitrated: "bus" or "lsu" (§5).
-    ARBITRATION = "bus"
-    #: True when :meth:`rtosunit_word_cost` is a constant 1 per word with
-    #: no side effects — lets the RTOSUnit FSMs move whole context slots
-    #: with bulk memory ops instead of per-word calls. Cores whose cost
-    #: probes mutate state (NaxRiscv's shared D$) must clear this.
-    RTOSUNIT_FLAT_WORD_COST = True
     #: LRU bounds for the per-PC decode cache and the basic-block cache.
     #: Far above any real program here — eviction is a memory safety net
     #: for long fault campaigns, not a working-set knob.
@@ -290,28 +283,16 @@ class BaseCore:
                 engine is not None and word in engine.addr_map):
             self.invalidate_code(word)
 
-    def _note_raw_code_write(self, addr: int) -> None:
+    def _note_raw_code_write(self, addr: int, nbytes: int) -> None:
         """Coherence hook for non-CPU writes (``Memory.code_watch``).
 
         RTOSUnit FSM stores, ``flip_bit`` and direct ``write_word_raw``
-        pokes bypass the execution paths, so covering *blocks* are
-        dropped here. The decode cache is deliberately left alone
-        (``decode_cache=False``) — the fault-campaign contract lets
-        already-decoded instructions stay stale, and blocks rebuild
-        through ``_fetch``, seeing exactly what the exact path sees.
-        """
-        word = addr & ~3
-        engine = self.block_engine
-        if engine is not None and word in engine.addr_map:
-            self.invalidate_code(word, decode_cache=False)
-
-    def _note_raw_code_write_range(self, addr: int, nbytes: int) -> None:
-        """Batched :meth:`_note_raw_code_write` over ``[addr, addr+nbytes)``.
-
-        Bulk FSM transfers (``Memory.write_words_raw``) notify once per
-        transfer instead of once per word; the effects are identical —
-        blocks covering any written word are dropped, the decode cache
-        is left alone.
+        pokes bypass the execution paths, so *blocks* covering any word
+        of ``[addr, addr+nbytes)`` are dropped here. The decode cache is
+        deliberately left alone (``decode_cache=False``) — the
+        fault-campaign contract lets already-decoded instructions stay
+        stale, and blocks rebuild through ``_fetch``, seeing exactly
+        what the exact path sees.
         """
         engine = self.block_engine
         if engine is None:
@@ -709,6 +690,7 @@ class BaseCore:
 
     # -- RTOSUnit hooks ------------------------------------------------------------------------
 
-    def rtosunit_word_cost(self, addr: int, is_write: bool) -> int:
-        """Port cycles for one RTOSUnit context word (bus arbitration)."""
-        return 1
+    def rtosunit_frame_cost(self, slot: int, words, is_write: bool) -> int:
+        """Port cycles for an RTOSUnit context transfer of *words* (word
+        indices into the frame at *slot*): one bus beat per word."""
+        return len(words)

@@ -27,4 +27,3 @@ class CV32E40P(BaseCore):
         div_cycles=34,            # iterative divider
         csr_cycles=1,
     )
-    ARBITRATION = "bus"

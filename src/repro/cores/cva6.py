@@ -43,7 +43,6 @@ class CVA6(BaseCore):
         cache_line_words=8,
         switch_rf_restart_cycles=3,
     )
-    ARBITRATION = "bus"
 
     def __init__(self, *args, **kwargs):
         # Built before ``BaseCore.__init__``, whose block engine hoists
@@ -52,6 +51,11 @@ class CVA6(BaseCore):
                                         line_bytes=32)
         self.predictor = BimodalPredictor(entries=128)
         super().__init__(*args, **kwargs)
+        if self.unit is not None:
+            # The RTOSUnit writes contexts at the bus level, below the
+            # write-through D$, so the core must not cache them.
+            region = self.unit.region
+            self.uncached_ranges.append((region.base, region.end))
 
     def capture_state(self) -> dict:
         state = super().capture_state()

@@ -55,10 +55,6 @@ class NaxRiscv(BaseCore):
         cache_line_words=8,
         switch_rf_restart_cycles=4,  # reschedule event, like a mispredict
     )
-    ARBITRATION = "lsu"
-    #: ctxQueue words probe (and refill) the shared write-back D$ — the
-    #: per-word cost has cache side effects, so no bulk-transfer shortcut.
-    RTOSUNIT_FLAT_WORD_COST = False
 
     def __init__(self, *args, **kwargs):
         # Built before ``BaseCore.__init__``, whose block engine hoists
@@ -183,11 +179,14 @@ class NaxRiscv(BaseCore):
 
     # -- RTOSUnit integration ------------------------------------------------------
 
-    def rtosunit_word_cost(self, addr: int, is_write: bool) -> int:
-        """Context words go through the shared write-back D$ (ctxQueue)."""
-        if self.dcache.lookup(addr, is_write):
-            return 1
-        return 1 + self.params.cache_line_words
+    def rtosunit_frame_cost(self, slot: int, words, is_write: bool) -> int:
+        """Context words go through the shared write-back D$ (ctxQueue):
+        one probe per word, in word order; a hit costs one port cycle and
+        a miss a line refill on top."""
+        lookup = self.dcache.lookup
+        miss = 1 + self.params.cache_line_words
+        return sum(1 if lookup(slot + 4 * index, is_write) else miss
+                   for index in words)
 
     def cv32rt_invalidate(self, base: int, nbytes: int) -> None:
         """CV32RT's dedicated port bypasses the D$; invalidate its lines."""

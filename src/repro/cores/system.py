@@ -66,13 +66,7 @@ class System:
         if not config.is_vanilla:
             self.unit = RTOSUnit(config, self.memory, self.timeline, region)
         self.core = core_class(self.memory, config, unit=self.unit)
-        if self.unit is not None:
-            # LSU-level arbitration shares the core's cache (§5.3).
-            self.unit.word_cost = self.core.rtosunit_word_cost
-            self.unit.timeline = self.timeline
         self.core.timeline = self.timeline
-        if self.core.__class__.__name__ == "CVA6" and not config.is_vanilla:
-            self.core.uncached_ranges.append((region.base, region.end))
         self.clint = Clint(tick_period=tick_period,
                            autoreset=config.hw_timer_autoreset,
                            external_events=list(external_events or []))
@@ -83,7 +77,6 @@ class System:
         # Keep cached blocks coherent with writes that bypass the core
         # (RTOSUnit FSM stores, fault flips, direct raw pokes).
         self.memory.code_watch = self.core._note_raw_code_write
-        self.memory.code_watch_range = self.core._note_raw_code_write_range
 
     # -- MMIO routing ---------------------------------------------------------
 
@@ -193,21 +186,19 @@ class System:
         """Drop the back-references that put this system in reference cycles.
 
         The memory routes MMIO to the system and reports code writes to
-        bound core methods, the CLINT, RTOSUnit and block engine point
+        a bound core method, the CLINT, RTOSUnit and block engine point
         back at the core, and the engine keeps bound methods of itself
-        and of the RTOSUnit. Without those edges a finished system is
-        freed by reference counting as soon as its last reference goes,
-        instead of waiting for the cyclic collector. The system cannot
-        run again afterwards.
+        and the RTOSUnit's op functions bound to the unit. Without those
+        edges a finished system is freed by reference counting as soon
+        as its last reference goes, instead of waiting for the cyclic
+        collector. The system cannot run again afterwards.
         """
         memory = self.memory
         memory.clint = None
         memory.code_watch = None
-        memory.code_watch_range = None
         self.clint._core = None
         if self.unit is not None:
             self.unit.core = None
-            self.unit.word_cost = None
         engine = self.core.block_engine
         if engine is not None:
             engine.release()

@@ -127,9 +127,8 @@ def execute_point(point: GridPoint):
     from repro.rtosunit.config import parse_config
     from repro.workloads import workload_by_name
 
-    # Pool workers adopt a REPRO_CHAOS policy exported by the parent;
-    # both calls are no-ops outside chaos campaigns and tests.
-    chaos_hooks.ensure_from_env()
+    # A no-op outside chaos campaigns and tests; forked pool workers
+    # inherit the parent's installed policy.
     chaos_hooks.fire("worker.run")
     workload = workload_by_name(point.workload, iterations=point.iterations)
     return run_workload(point.core, parse_config(point.config), workload,

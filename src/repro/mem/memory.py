@@ -60,17 +60,13 @@ class Memory:
     size: int = 1 << 20
     data: bytearray = field(init=False)
     clint: object | None = field(default=None, repr=False)
-    #: Raw-write observer ``watch(addr)`` — the System wires it to the
-    #: core's code-cache coherence hook so non-CPU writes (RTOSUnit
-    #: FSMs, fault flips, test pokes) invalidate covering blocks. CPU
-    #: stores go through :meth:`write` and are handled by the core's own
-    #: self-modifying-store check instead.
+    #: Raw-write observer ``watch(addr, nbytes)``, called once per raw
+    #: store — the System wires it to the core's code-cache coherence
+    #: hook so non-CPU writes (RTOSUnit FSMs, fault flips, test pokes)
+    #: invalidate covering blocks. CPU stores go through :meth:`write`
+    #: and are handled by the core's own self-modifying-store check
+    #: instead.
     code_watch: object | None = field(default=None, repr=False, compare=False)
-    #: Batched form ``watch_range(addr, nbytes)`` — when set, bulk raw
-    #: writes notify once per transfer instead of once per word (same
-    #: invalidation effects; the observer walks the words itself).
-    code_watch_range: object | None = field(default=None, repr=False,
-                                            compare=False)
 
     def __post_init__(self) -> None:
         self.data = bytearray(self.size)
@@ -138,7 +134,7 @@ class Memory:
         """
         self.data[addr:addr + 4] = (value & MASK32).to_bytes(4, "little")
         if self.code_watch is not None:
-            self.code_watch(addr)
+            self.code_watch(addr, 4)
 
     def write_word_raw(self, addr: int, value: int) -> None:
         if addr < 0 or addr + 4 > self.size or addr & 3:
@@ -155,8 +151,8 @@ class Memory:
     def write_words_raw(self, addr: int, values) -> None:
         """Bulk :meth:`write_word_raw`: consecutive words in one slice.
 
-        Byte-identical to the word loop, including per-word
-        ``code_watch`` notification for SMC/fault bookkeeping.
+        Byte-identical to the word loop; ``code_watch`` is notified once
+        for the whole range.
         """
         count = len(values)
         nbytes = 4 * count
@@ -169,14 +165,8 @@ class Memory:
         except struct.error:
             struct.pack_into(f"<{count}I", self.data, addr,
                              *(v & MASK32 for v in values))
-        watch_range = self.code_watch_range
-        if watch_range is not None:
-            watch_range(addr, nbytes)
-            return
-        watch = self.code_watch
-        if watch is not None:
-            for offset in range(0, nbytes, 4):
-                watch(addr + offset)
+        if self.code_watch is not None:
+            self.code_watch(addr, nbytes)
 
     def flip_bit(self, addr: int, bit: int) -> int:
         """Flip one bit of a RAM word (fault injection; no MMIO, no timing).

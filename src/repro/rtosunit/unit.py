@@ -5,6 +5,16 @@ The unit is attached to a core model and reacts to three kinds of events
 scheduler), custom instructions (Table 1), and ``mret`` (restore-complete
 stall, dirty-bit clearing, preload scheduling).
 
+It meets the core through one interface. Each custom op is one function
+in ``_OPS``: :meth:`RTOSUnit.exec_custom` runs it on the exact path and
+:meth:`RTOSUnit.fast_custom_handlers` binds the same function for the
+block records. Each context frame moves by one path: the store, the (D)
+dirty store and the CV32RT snapshot write their words in runs of one
+:meth:`Memory.write_words_raw` each, and every store, restore and
+preload transfer is costed by the core's ``rtosunit_frame_cost(slot,
+words, is_write)``, which is where each core's port arbitration lives
+(one bus beat per word, or NaxRiscv's shared D$).
+
 Functional effects (context words copied between the application register
 file and the context memory region) are applied eagerly; *timing* is
 tracked as FSM transfers that consume free cycles of the shared memory
@@ -16,12 +26,13 @@ evaluation is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from repro.errors import SimulationError
 from repro.isa import csr as csrmod
 from repro.isa.custom import CustomOp
-from repro.isa.registers import CONTEXT_SAVED_REGS
+from repro.isa.registers import CONTEXT_SAVED_REGS, CONTEXT_WORDS
 from repro.mem.memory import Memory
 from repro.mem.regions import (
     CONTEXT_REG_ORDER,
@@ -41,10 +52,12 @@ CV32RT_HW_REGS: tuple[int, ...] = (1, 5, 6, 7, 10, 11, 12, 13, 14, 15, 28, 29, 3
 #: FSM start-up latency in cycles before the first word moves.
 FSM_STARTUP_CYCLES = 1
 
-
-def _flat_word_cost(addr: int, is_write: bool) -> int:
-    """Default port cost: one cycle per word, no side effects."""
-    return 1
+#: Word indices of a whole context frame, and of its two CSR words.
+_FRAME_WORDS = range(CONTEXT_WORDS)
+_CSR_WORDS = [MSTATUS_SLOT_INDEX, MEPC_SLOT_INDEX]
+#: Frame words CV32RT's snapshot writes, ascending, in the software
+#: ISR's frame layout (``CONTEXT_SAVED_REGS`` order).
+_CV32RT_WORDS = sorted(CONTEXT_SAVED_REGS.index(reg) for reg in CV32RT_HW_REGS)
 
 
 @dataclass
@@ -53,7 +66,7 @@ class _Transfer:
 
     kind: str  # "store" | "restore" | "preload"
     start: int
-    cost: int  # total port cycles (words x per-word cost)
+    cost: int  # total port cycles, from the core's rtosunit_frame_cost
     completion: int | None = None
 
 
@@ -81,6 +94,71 @@ class CustomResult:
     switch_banks: bool = False
 
 
+# -- the custom ops, each written once ------------------------------------------
+#
+# Each takes ``(unit, rs1_value, rs2_value, cycle)`` and returns
+# ``(rd_value, complete_cycle)``. SWITCH_RF switches register banks, so
+# it stays in :meth:`RTOSUnit.exec_custom`, on the exact path.
+
+
+def _set_context_id(unit, rs1, rs2, cycle):
+    return unit._set_next_task(rs1, cycle)
+
+
+def _get_hw_sched(unit, rs1, rs2, cycle):
+    task_id, ready_cycle = unit.scheduler.get_next(cycle, unit.current_task_id)
+    unit.stats.sched_ops += 1
+    return unit._set_next_task(task_id, ready_cycle)
+
+
+def _add_ready(unit, rs1, rs2, cycle):
+    unit.scheduler.add_ready(rs1, rs2, cycle)
+    unit.stats.sched_ops += 1
+    return 0, cycle
+
+
+def _add_delay(unit, rs1, rs2, cycle):
+    if unit.current_task_id is None:
+        raise SimulationError("ADD_DELAY with no current task")
+    unit.scheduler.add_delay(unit.current_task_id, rs1, rs2, cycle)
+    unit.stats.sched_ops += 1
+    return 0, cycle
+
+
+def _rm_task(unit, rs1, rs2, cycle):
+    unit.scheduler.rm_task(rs1, cycle)
+    unit.stats.sched_ops += 1
+    return 0, cycle
+
+
+def _sem_take(unit, rs1, rs2, cycle):
+    priority = unit._current_priority()
+    return unit.hwsync.take(rs1, unit.current_task_id, priority, cycle), cycle
+
+
+def _sem_give(unit, rs1, rs2, cycle):
+    return unit.hwsync.give(rs1, cycle), cycle
+
+
+#: op -> (its function, the unit attribute its extension builds, or None).
+_OPS = {
+    CustomOp.SET_CONTEXT_ID: (_set_context_id, None),
+    CustomOp.GET_HW_SCHED: (_get_hw_sched, "scheduler"),
+    CustomOp.ADD_READY: (_add_ready, "scheduler"),
+    CustomOp.ADD_DELAY: (_add_delay, "scheduler"),
+    CustomOp.RM_TASK: (_rm_task, "scheduler"),
+    CustomOp.SEM_TAKE: (_sem_take, "hwsync"),
+    CustomOp.SEM_GIVE: (_sem_give, "hwsync"),
+}
+#: Extension attribute -> how an absent-extension error names it.
+_EXTENSIONS = {
+    "scheduler": "hardware scheduling (T)",
+    "hwsync": "the hardware synchronisation extension (Y)",
+}
+#: Ops that latch the next task and so, under (L), restore MSTATUS/MEPC.
+_RESTORING = (CustomOp.SET_CONTEXT_ID, CustomOp.GET_HW_SCHED)
+
+
 class RTOSUnit:
     """The configurable RTOSUnit attached to one core."""
 
@@ -95,10 +173,6 @@ class RTOSUnit:
         self.memory = memory
         self.timeline = timeline
         self.region = region
-        # Per-word port cost hook; NaxRiscv shares the data cache (§5.3),
-        # so the word cost depends on hit/miss there. The System rewires
-        # it to the core's ``rtosunit_word_cost``.
-        self.word_cost = _flat_word_cost
         self.scheduler = (HardwareScheduler(length=config.list_length)
                           if config.sched else None)
         self.hwsync = None
@@ -108,6 +182,11 @@ class RTOSUnit:
             self.hwsync = HardwareSync(self.scheduler,
                                        slots=config.sem_slots,
                                        max_waiters=config.list_length)
+        #: This config's ops: plain functions, so the unit holds no
+        #: bound method of itself and is freed by reference counting.
+        self._ops = {op: fn for op, (fn, extension) in _OPS.items()
+                     if extension is None
+                     or getattr(self, extension) is not None}
         self.current_task_id: int | None = None
         self.next_task_id: int | None = None
         self._prev_task_id: int | None = None
@@ -127,7 +206,11 @@ class RTOSUnit:
     # -- attachment ------------------------------------------------------------
 
     def attach(self, core) -> None:
-        """Attach the core whose APP register bank and CSRs we manage."""
+        """Attach the core whose APP register bank and CSRs we manage.
+
+        The core costs every context frame through
+        ``rtosunit_frame_cost(slot, words, is_write)``.
+        """
         self.core = core
 
     def boot(self, task_id: int) -> None:
@@ -149,53 +232,32 @@ class RTOSUnit:
         if self.config.store:
             self._kick_store(cycle)
 
-    def _flat_cost(self) -> bool:
-        """True when ``word_cost`` is a side-effect-free constant 1.
-
-        The System rewires ``word_cost`` to the core's
-        ``rtosunit_word_cost`` after construction, so this is evaluated
-        per transfer, not cached at init.
-        """
-        fn = self.word_cost
-        if fn is _flat_word_cost:
-            return True
-        owner = getattr(fn, "__self__", None)
-        return (owner is not None
-                and getattr(type(owner), "RTOSUNIT_FLAT_WORD_COST", False))
-
     def _kick_store(self, cycle: int) -> None:
+        """Store the APP RF's context into the current task's slot.
+
+        Under (D) only the dirty registers are written, plus MSTATUS and
+        MEPC; the clean words of the slot keep what they held.
+        """
         if self.current_task_id is None:
             raise SimulationError("store FSM kicked before boot()")
-        regs = self.core.app_bank
-        slot = self.region.slot_addr(self.current_task_id)
-        dirty_mask = getattr(self.core, "dirty_mask", 0)
-        if not self.config.dirty and self._flat_cost():
-            # Whole slot is contiguous (regs, then MSTATUS/MEPC) and each
-            # word costs exactly one port cycle: move it in one bulk write.
-            values = [regs[reg] for reg in CONTEXT_REG_ORDER]
-            values.append(self.core.csr.read(csrmod.MSTATUS))
-            values.append(self.core.csr.read(csrmod.MEPC))
-            self.memory.write_words_raw(slot, values)
-            cost = len(values)
-            self.stats.words_stored += cost
+        core = self.core
+        regs = core.app_bank
+        frame = [regs[reg] for reg in CONTEXT_REG_ORDER]
+        frame.append(core.csr.read(csrmod.MSTATUS))
+        frame.append(core.csr.read(csrmod.MEPC))
+        if self.config.dirty:
+            mask = core.dirty_mask
+            words = [index for index, reg in enumerate(CONTEXT_REG_ORDER)
+                     if (mask >> reg) & 1]
+            self.stats.dirty_words_skipped += (len(CONTEXT_REG_ORDER)
+                                               - len(words))
+            words += _CSR_WORDS
         else:
-            cost = 0
-            for index, reg in enumerate(CONTEXT_REG_ORDER):
-                if self.config.dirty and not (dirty_mask >> reg) & 1:
-                    self.stats.dirty_words_skipped += 1
-                    continue
-                addr = slot + 4 * index
-                self.memory.write_word_raw(addr, regs[reg])
-                cost += self.word_cost(addr, True)
-                self.stats.words_stored += 1
-            for index, value in (
-                (MSTATUS_SLOT_INDEX, self.core.csr.read(csrmod.MSTATUS)),
-                (MEPC_SLOT_INDEX, self.core.csr.read(csrmod.MEPC)),
-            ):
-                addr = slot + 4 * index
-                self.memory.write_word_raw(addr, value)
-                cost += self.word_cost(addr, True)
-                self.stats.words_stored += 1
+            words = _FRAME_WORDS
+        slot = self.region.slot_addr(self.current_task_id)
+        self._write_frame(slot, words, frame)
+        self.stats.words_stored += len(words)
+        cost = core.rtosunit_frame_cost(slot, words, True)
         self._pending.append(_Transfer("store", cycle + FSM_STARTUP_CYCLES, cost))
         if self.observer is not None:
             self.observer.on_context_stored(self.current_task_id, slot)
@@ -206,148 +268,84 @@ class RTOSUnit:
         The software ISR allocates a 32-word frame and saves the other
         half; the hardware writes its 16 registers into that frame in
         parallel. The dedicated port never contends with the core, so the
-        snapshot always completes under the software save.
+        snapshot always completes under the software save and costs no
+        port cycles.
         """
         regs = self.core.app_bank
-        frame_bytes = 4 * (len(CONTEXT_SAVED_REGS) + 2)
+        frame_bytes = 4 * CONTEXT_WORDS
         frame = (regs[2] - frame_bytes) & 0xFFFFFFFF  # sp after the ISR's
         # frame allocation; the software ISR does the addi first.
-        for reg in CV32RT_HW_REGS:
-            addr = frame + 4 * CONTEXT_SAVED_REGS.index(reg)
-            self.memory.write_word_raw(addr, regs[reg])
-            self.stats.words_stored += 1
+        self._write_frame(frame, _CV32RT_WORDS,
+                          [regs[reg] for reg in CONTEXT_SAVED_REGS])
+        self.stats.words_stored += len(_CV32RT_WORDS)
         invalidate = getattr(self.core, "cv32rt_invalidate", None)
         if invalidate is not None:
             # The dedicated port bypasses the write-back cache; the lines
             # holding the snapshot must be invalidated (§6).
             invalidate(frame, 16 * 4)
 
+    def _write_frame(self, base: int, words, frame) -> None:
+        """Write ``frame[i]`` to word *i* at *base* for each ascending
+        index *i* of *words*: one ``write_words_raw`` per run of
+        consecutive indices."""
+        write = self.memory.write_words_raw
+        first = last = words[0]
+        for index in words[1:]:
+            if index != last + 1:
+                write(base + 4 * first, frame[first:last + 1])
+                first = index
+            last = index
+        write(base + 4 * first, frame[first:last + 1])
+
     # -- event: custom instruction ----------------------------------------------
 
     def exec_custom(self, op: CustomOp, rs1: int, rs2: int,
                     cycle: int) -> CustomResult:
-        """Execute one custom instruction at *cycle*."""
-        if op == CustomOp.SET_CONTEXT_ID:
-            return self._set_next_task(rs1, cycle)
-        if op == CustomOp.GET_HW_SCHED:
-            self._require_sched("GET_HW_SCHED")
-            task_id, ready_cycle = self.scheduler.get_next(
-                cycle, self.current_task_id)
-            self.stats.sched_ops += 1
-            result = self._set_next_task(task_id, ready_cycle)
-            result.rd_value = task_id
-            return result
-        if op == CustomOp.ADD_READY:
-            self._require_sched("ADD_READY")
-            self.scheduler.add_ready(rs1, rs2, cycle)
-            self.stats.sched_ops += 1
-            return CustomResult(complete_cycle=cycle)
-        if op == CustomOp.ADD_DELAY:
-            self._require_sched("ADD_DELAY")
-            if self.current_task_id is None:
-                raise SimulationError("ADD_DELAY with no current task")
-            self.scheduler.add_delay(self.current_task_id, rs1, rs2, cycle)
-            self.stats.sched_ops += 1
-            return CustomResult(complete_cycle=cycle)
-        if op == CustomOp.RM_TASK:
-            self._require_sched("RM_TASK")
-            self.scheduler.rm_task(rs1, cycle)
-            self.stats.sched_ops += 1
-            return CustomResult(complete_cycle=cycle)
+        """Execute one custom instruction at *cycle* on the exact path.
+
+        Runs the op's one function from ``_OPS``, the same one the block
+        records bind. An op whose extension the config lacks raises here,
+        with the unit untouched, on both paths: the block records never
+        hold it, so it always ends its block and arrives here.
+        """
         if op == CustomOp.SWITCH_RF:
             # Delayed while context storing is in progress (§4.2).
             done = self._complete_through("store", cycle)
             return CustomResult(complete_cycle=max(cycle, done),
                                 switch_banks=True)
-        if op == CustomOp.SEM_TAKE:
-            self._require_hwsync("SEM_TAKE")
-            value = self.hwsync.take(rs1, self.current_task_id,
-                                     self._current_priority(), cycle)
-            return CustomResult(rd_value=value, complete_cycle=cycle)
-        if op == CustomOp.SEM_GIVE:
-            self._require_hwsync("SEM_GIVE")
-            value = self.hwsync.give(rs1, cycle)
-            return CustomResult(rd_value=value, complete_cycle=cycle)
-        raise SimulationError(f"unknown custom op {op!r}")
+        fn = self._ops.get(op)
+        if fn is None:
+            if op not in _OPS:
+                raise SimulationError(f"unknown custom op {op!r}")
+            raise SimulationError(
+                f"{op.name} needs {_EXTENSIONS[_OPS[op][1]]}; config is "
+                f"{self.config.name}")
+        rd_value, done = fn(self, rs1, rs2, cycle)
+        return CustomResult(rd_value=rd_value, complete_cycle=done)
 
     # -- block-resident fast path (repro.cores.blocks) ---------------------------
 
     def fast_custom_handlers(self):
         """Per-op ``(handler, terminal)`` pairs for predecoded blocks.
 
-        Each handler has the signature ``(rs1_value, rs2_value, issue)
-        -> (rd_value, complete_cycle)`` and must apply exactly the
-        architectural effects and cycle charging of :meth:`exec_custom`
-        for its op — the on/off differential suite holds it to that.
-        ``terminal`` is 1 for ops whose effects feed the interrupt
-        horizon: under the (L) context loader ``SET_CONTEXT_ID`` /
-        ``GET_HW_SCHED`` restore MSTATUS/MEPC, so they run resident but
-        end the block with the cached horizon invalidated (the restore
-        mutates the *application* bank in place, which is exact in both
-        the banked-ISR and flat-RF cases). ``SWITCH_RF`` switches
-        register banks mid-stream and stays a block terminator on the
-        exact ``_step_custom`` path. Ops whose extension is absent from
-        the config are excluded; executing one must raise through the
-        exact path, FSMs untouched.
+        Each handler is the op's one function from ``_OPS`` bound to
+        this unit, with the signature ``(rs1_value, rs2_value, issue) ->
+        (rd_value, complete_cycle)``; :meth:`exec_custom` runs the same
+        function. ``terminal`` is 1 for ops whose effects feed the
+        interrupt horizon: under the (L) context loader
+        ``SET_CONTEXT_ID`` / ``GET_HW_SCHED`` restore MSTATUS/MEPC, so
+        they run resident but end the block with the cached horizon
+        invalidated (the restore mutates the *application* bank in
+        place, which is exact in both the banked-ISR and flat-RF cases).
+        ``SWITCH_RF`` switches register banks mid-stream and stays a
+        block terminator on the exact ``_step_custom`` path. Ops whose
+        extension is absent from the config are excluded; executing one
+        raises through the exact path, FSMs untouched. The block engine
+        holds the bound handlers and drops them on release.
         """
-        handlers = {}
-        if self.scheduler is not None:
-            handlers[CustomOp.ADD_READY] = (self._fast_add_ready, 0)
-            handlers[CustomOp.ADD_DELAY] = (self._fast_add_delay, 0)
-            handlers[CustomOp.RM_TASK] = (self._fast_rm_task, 0)
         terminal = 1 if self.config.load else 0
-        handlers[CustomOp.SET_CONTEXT_ID] = (self._fast_set_context_id,
-                                             terminal)
-        if self.scheduler is not None:
-            handlers[CustomOp.GET_HW_SCHED] = (self._fast_get_hw_sched,
-                                               terminal)
-        if self.hwsync is not None:
-            handlers[CustomOp.SEM_TAKE] = (self._fast_sem_take, 0)
-            handlers[CustomOp.SEM_GIVE] = (self._fast_sem_give, 0)
-        return handlers
-
-    def _fast_add_ready(self, rs1: int, rs2: int, cycle: int):
-        self.scheduler.add_ready(rs1, rs2, cycle)
-        self.stats.sched_ops += 1
-        return 0, cycle
-
-    def _fast_add_delay(self, rs1: int, rs2: int, cycle: int):
-        if self.current_task_id is None:
-            raise SimulationError("ADD_DELAY with no current task")
-        self.scheduler.add_delay(self.current_task_id, rs1, rs2, cycle)
-        self.stats.sched_ops += 1
-        return 0, cycle
-
-    def _fast_rm_task(self, rs1: int, rs2: int, cycle: int):
-        self.scheduler.rm_task(rs1, cycle)
-        self.stats.sched_ops += 1
-        return 0, cycle
-
-    def _fast_set_context_id(self, rs1: int, rs2: int, cycle: int):
-        result = self._set_next_task(rs1, cycle)
-        return result.rd_value, result.complete_cycle
-
-    def _fast_get_hw_sched(self, rs1: int, rs2: int, cycle: int):
-        task_id, ready_cycle = self.scheduler.get_next(
-            cycle, self.current_task_id)
-        self.stats.sched_ops += 1
-        result = self._set_next_task(task_id, ready_cycle)
-        return task_id, result.complete_cycle
-
-    def _fast_sem_take(self, rs1: int, rs2: int, cycle: int):
-        value = self.hwsync.take(rs1, self.current_task_id,
-                                 self._current_priority(), cycle)
-        return value, cycle
-
-    def _fast_sem_give(self, rs1: int, rs2: int, cycle: int):
-        value = self.hwsync.give(rs1, cycle)
-        return value, cycle
-
-    def _require_hwsync(self, what: str) -> None:
-        if self.hwsync is None:
-            raise SimulationError(
-                f"{what} needs the hardware synchronisation extension (Y); "
-                f"config is {self.config.name}")
+        return {op: (partial(fn, self), terminal if op in _RESTORING else 0)
+                for op, fn in self._ops.items()}
 
     def _current_priority(self) -> int:
         """Priority of the running task, read from its ready-list entry."""
@@ -360,14 +358,11 @@ class RTOSUnit:
             f"running task {self.current_task_id} is not in the hardware "
             f"ready list")
 
-    def _require_sched(self, what: str) -> None:
-        if self.scheduler is None:
-            raise SimulationError(
-                f"{what} needs hardware scheduling (T); config is "
-                f"{self.config.name}")
+    def _set_next_task(self, task_id: int, cycle: int) -> tuple[int, int]:
+        """Latch the next task; kick the restore FSM when (L) is enabled.
 
-    def _set_next_task(self, task_id: int, cycle: int) -> CustomResult:
-        """Latch the next task; kick the restore FSM when (L) is enabled."""
+        Returns ``(task_id, cycle)``, the op's rd value and completion.
+        """
         self._prev_task_id = self.current_task_id
         self.next_task_id = task_id
         restore_needed = True
@@ -394,19 +389,13 @@ class RTOSUnit:
                 # the APP RF, functionally.
                 self._apply_context_words(task_id)
         self.current_task_id = task_id
-        return CustomResult(rd_value=task_id, complete_cycle=cycle)
+        return task_id, cycle
 
     def _load_context(self, task_id: int) -> int:
         """Functional restore; returns the port cost in cycles."""
-        n = len(CONTEXT_REG_ORDER) + 2
-        if self._flat_cost():
-            cost = n
-        else:
-            cost = 0
-            slot = self.region.slot_addr(task_id)
-            for index in range(n):
-                cost += self.word_cost(slot + 4 * index, False)
-        self.stats.words_loaded += n
+        slot = self.region.slot_addr(task_id)
+        cost = self.core.rtosunit_frame_cost(slot, _FRAME_WORDS, False)
+        self.stats.words_loaded += CONTEXT_WORDS
         self._apply_context_words(task_id)
         return cost
 
@@ -417,7 +406,7 @@ class RTOSUnit:
             # Verify before the words land in the RF: corruption of the
             # slot between save and restore is still observable here.
             self.observer.on_context_restored(task_id, slot)
-        words = self.memory.read_words_raw(slot, len(CONTEXT_REG_ORDER) + 2)
+        words = self.memory.read_words_raw(slot, CONTEXT_WORDS)
         for index, reg in enumerate(CONTEXT_REG_ORDER):
             regs[reg] = words[index]
         self.core.csr.write(csrmod.MSTATUS, words[MSTATUS_SLOT_INDEX])
@@ -508,13 +497,8 @@ class RTOSUnit:
         self._preload_transfer = None
         if predicted is None or predicted == self.current_task_id:
             return
-        n = len(CONTEXT_REG_ORDER) + 2
-        if self._flat_cost():
-            cost = n
-        else:
-            slot = self.region.slot_addr(predicted)
-            cost = sum(self.word_cost(slot + 4 * i, False)
-                       for i in range(n))
+        cost = self.core.rtosunit_frame_cost(
+            self.region.slot_addr(predicted), _FRAME_WORDS, False)
         self._preload_transfer = _Transfer("preload",
                                            cycle + FSM_STARTUP_CYCLES, cost)
         self._pending.append(self._preload_transfer)

@@ -1,4 +1,4 @@
-"""Isolation for chaos tests: no policy, cold caches, default env."""
+"""Isolation for chaos tests: no policy, cold caches."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ from repro.kernel.builder import reset_program_cache
 
 
 @pytest.fixture(autouse=True)
-def clean_chaos_state(monkeypatch):
+def clean_chaos_state():
     """Every test starts and ends with no policy and a cold build cache."""
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
     hooks.uninstall()
     reset_program_cache()
     yield

@@ -1,23 +1,22 @@
 """Hook semantics: inert by default, policy-driven when installed."""
 
-import os
 import time
 
 import pytest
 
 from repro.chaos import (
-    ENV_VAR,
     ChaosPolicy,
     ChaosSpec,
     InjectedCrash,
     active,
-    ensure_from_env,
     fire,
-    hooks,
     install,
     installed,
     uninstall,
 )
+from repro.dse.executor import (GridPoint, PoolHealth, execute_point,
+                                parallel_map)
+from repro.harness.export import run_dict
 
 
 class TestInertDefault:
@@ -26,11 +25,10 @@ class TestInertDefault:
         assert fire("cache.read") is None
         assert fire("worker.run") is None
 
-    def test_uninstall_clears_env(self):
-        install(ChaosPolicy(), env=True)
-        assert ENV_VAR in os.environ
+    def test_uninstall_clears_policy(self):
+        install(ChaosPolicy())
+        assert active() is not None
         uninstall()
-        assert ENV_VAR not in os.environ
         assert active() is None
 
 
@@ -61,25 +59,26 @@ class TestFireSemantics:
         assert active() is None
 
 
-class TestEnvAdoption:
-    def test_ensure_from_env_adopts_policy(self, monkeypatch):
+class TestForkedWorkers:
+    def test_policy_installed_before_the_pool_forks_fires_in_workers(self):
+        """Workers are forked, so each inherits the installed policy and
+        crashes on its own first ``worker.run`` visit; every crash is
+        charged as a retry, and the results equal the serial run's."""
+        points = [GridPoint("cv32e40p", config, "yield_pingpong",
+                            iterations=2)
+                  for config in ("vanilla", "S", "SLT", "T")]
+        serial = parallel_map(execute_point, points, jobs=1)
         policy = ChaosPolicy(specs=(
-            ChaosSpec("truncate_blob", "build.read", at=2),), seed=9)
-        monkeypatch.setenv(ENV_VAR, policy.to_json())
-        assert active() is None
-        ensure_from_env()
-        adopted = active()
-        assert adopted is not None
-        assert adopted.specs == policy.specs
-        assert adopted.seed == 9
-
-    def test_ensure_is_noop_without_env(self):
-        ensure_from_env()
-        assert active() is None
-
-    def test_installed_policy_wins_over_env(self, monkeypatch):
-        mine = ChaosPolicy(seed=1)
-        install(mine)
-        monkeypatch.setenv(ENV_VAR, ChaosPolicy(seed=2).to_json())
-        ensure_from_env()
-        assert hooks.active() is mine
+            ChaosSpec("worker_crash", "worker.run", at=1),))
+        health = PoolHealth()
+        with installed(policy):
+            # Each of the two workers crashes at most once, so no point
+            # can fail more than twice.
+            pooled = parallel_map(execute_point, points, jobs=2, retries=2,
+                                  health=health)
+        assert 1 <= health.retries <= 2
+        assert health.poisoned == 0
+        # The visits happened in the workers, not in this process.
+        assert policy.visits("worker.run") == 0
+        assert ([run_dict(run) for run in pooled]
+                == [run_dict(run) for run in serial])

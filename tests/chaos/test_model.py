@@ -88,19 +88,6 @@ class TestPolicyScheduling:
         second = [policy.decide("cache.read") is not None for _ in range(16)]
         assert first == second
 
-    def test_json_round_trip(self):
-        policy = ChaosPolicy(specs=(
-            ChaosSpec("partial_write", "cache.write", at=3),),
-            seed=11, hard_crash=True)
-        clone = ChaosPolicy.from_json(policy.to_json())
-        assert clone.specs == policy.specs
-        assert clone.seed == 11
-        assert clone.hard_crash is True
-
-    def test_malformed_json_is_structured(self):
-        with pytest.raises(ChaosInjectionError, match="malformed"):
-            ChaosPolicy.from_json("{nope")
-
 
 def _fired_sites() -> set:
     """Every site named by a literal ``fire("...")`` call in the package,

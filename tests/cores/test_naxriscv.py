@@ -1,6 +1,9 @@
 """NaxRiscv-specific behaviour (§5.3): OoO timing, LSU, ctxQueue costs."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.cores import NaxRiscv, build_system
+from repro.mem.cache import WriteBackCache
 from repro.rtosunit.config import parse_config
 from tests.cores.helpers import run_fragment
 
@@ -27,12 +30,19 @@ class TestLSUSerialisation:
         assert cycles_of(spread_lines) > cycles_of(same_line)
 
 
+def _cache_state(cache):
+    """Each set's LRU order, in the order the sets were first touched,
+    and the hit and miss counters."""
+    return ([(index, list(ways)) for index, ways in cache._lines.items()],
+            cache.hits, cache.misses)
+
+
 class TestCtxQueueCosts:
-    def test_word_cost_hit_vs_miss(self):
+    def test_frame_cost_hit_vs_miss(self):
         system = build_system("naxriscv", parse_config("SLT"))
         core = system.core
-        miss = core.rtosunit_word_cost(0x4000, False)
-        hit = core.rtosunit_word_cost(0x4000, False)
+        miss = core.rtosunit_frame_cost(0x4000, [0], False)
+        hit = core.rtosunit_frame_cost(0x4000, [0], False)
         assert miss == 1 + core.params.cache_line_words
         assert hit == 1
 
@@ -42,10 +52,38 @@ class TestCtxQueueCosts:
         system = build_system("naxriscv", parse_config("SLT"))
         region = system.layout.context_region
         slot = region.slot_addr(0)
-        for offset in range(0, 128, 4):
-            system.core.rtosunit_word_cost(slot + offset, True)
-        assert all(system.core.rtosunit_word_cost(slot + o, False) == 1
-                   for o in range(0, 124, 4))
+        system.core.rtosunit_frame_cost(slot, range(32), True)
+        assert system.core.rtosunit_frame_cost(slot, range(31), False) == 31
+
+    @settings(max_examples=80, deadline=None)
+    @given(geometry=st.sampled_from([(16 * 1024, 4), (256, 2), (64, 2),
+                                     (32, 1)]),
+           warm=st.lists(st.tuples(st.integers(0, 511), st.booleans()),
+                         max_size=24),
+           slot=st.integers(0, 255),
+           words=st.sets(st.integers(0, 31), min_size=1),
+           is_write=st.booleans())
+    def test_frame_cost_is_per_word_probes_in_word_order(
+            self, geometry, warm, slot, words, is_write):
+        """The frame cost, the D$ per-set LRU order and its counters end
+        where one ``dcache.lookup`` per word, in word order, leaves them,
+        on the real D$ and on small ones whose sets the frame's lines
+        share."""
+        size, ways = geometry
+        core = build_system("naxriscv", parse_config("SLT")).core
+        core.dcache = WriteBackCache(size_bytes=size, ways=ways,
+                                     line_bytes=32)
+        reference = WriteBackCache(size_bytes=size, ways=ways, line_bytes=32)
+        for word, write in warm:
+            core.dcache.lookup(4 * word, write)
+            reference.lookup(4 * word, write)
+        slot *= 4
+        words = sorted(words)
+        miss = 1 + core.params.cache_line_words
+        expected = sum(1 if reference.lookup(slot + 4 * index, is_write)
+                       else miss for index in words)
+        assert core.rtosunit_frame_cost(slot, words, is_write) == expected
+        assert _cache_state(core.dcache) == _cache_state(reference)
 
     def test_cv32rt_invalidation_forces_misses(self):
         """§6: the dedicated-port bypass invalidates the snapshot lines."""

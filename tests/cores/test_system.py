@@ -1,10 +1,14 @@
 """System wiring: MMIO routing, probes, console, banking."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cores import CORE_CLASSES, build_system
 from repro.cores.system import System
 from repro.errors import ConfigurationError, SimulationError
+from repro.isa.csr import CAUSE_MSI
 from repro.isa.assembler import assemble
 from repro.kernel.builder import KernelBuilder
 from repro.mem.timeline import MemoryTimeline
@@ -47,9 +51,24 @@ class TestBuildSystem:
         region = system.layout.context_region
         assert (region.base, region.end) in system.core.uncached_ranges
 
-    def test_nax_unit_word_cost_is_cache_aware(self):
-        system = build_system("naxriscv", parse_config("SLT"))
-        assert system.unit.word_cost == system.core.rtosunit_word_cost
+    def test_vanilla_cva6_caches_everything(self):
+        assert build_system("cva6", parse_config("vanilla")).core \
+            .uncached_ranges == []
+
+    @pytest.mark.parametrize("core, cold, warm", [
+        ("cv32e40p", 31, 31), ("cva6", 31, 31),
+        # Four cold lines cost a refill each on NaxRiscv's shared D$.
+        ("naxriscv", 31 + 4 * 8, 31),
+    ])
+    def test_unit_costs_frames_through_its_core(self, core, cold, warm):
+        system = build_system(core, parse_config("SLT"))
+        unit = system.unit
+        unit.boot(0)
+        costs = []
+        for cycle in (10, 500):
+            unit.on_interrupt_entry(cycle, CAUSE_MSI)
+            costs.append(unit._pending[-1].cost)
+        assert costs == [cold, warm]
 
     @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
     def test_vanilla_timeline_keeps_no_port_marks(self, core):
@@ -64,6 +83,29 @@ class TestBuildSystem:
         assert ((quiet.timeline.core_cycles, quiet.timeline._last_marked)
                 == (kept.timeline.core_cycles, kept.timeline._last_marked))
         assert quiet.core.cycle == kept.core.cycle
+
+
+class TestRelease:
+    @pytest.mark.parametrize("core", sorted(CORE_CLASSES))
+    def test_released_system_is_freed_by_reference_counting(self, core):
+        """The block engine holds the unit's op functions bound to the
+        unit; release() drops them with the other back-references, so a
+        finished system needs no cyclic collection."""
+        workload = yield_pingpong(iterations=2)
+        system = KernelBuilder(config=parse_config("SDLOT"),
+                               objects=workload.objects,
+                               tick_period=workload.tick_period).build(core)
+        system.run(workload.max_cycles)
+        system.release()
+        refs = [weakref.ref(part) for part in (
+            system, system.core, system.memory, system.unit,
+            system.core.block_engine)]
+        gc.disable()
+        try:
+            del system
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 class TestSimulatorControl:

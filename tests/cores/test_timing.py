@@ -100,12 +100,12 @@ even:
         system = run_fragment(src, core="naxriscv")
         assert system.core.stats.mispredicts > 5
 
-    def test_cache_shared_with_rtosunit_word_cost(self):
+    def test_cache_shared_with_rtosunit_frame_cost(self):
         system = run_fragment("nop\n", core="naxriscv")
         core = system.core
         addr = 0x2000
-        first = core.rtosunit_word_cost(addr, False)
-        second = core.rtosunit_word_cost(addr, False)
+        first = core.rtosunit_frame_cost(addr, [0], False)
+        second = core.rtosunit_frame_cost(addr, [0], False)
         assert first > second == 1  # miss then hit
 
 

@@ -146,28 +146,19 @@ class TestRawStores:
     def test_raw_store_and_flip_bit_fire_code_watch(self):
         mem = Memory(size=4096)
         seen = []
-        mem.code_watch = seen.append
+        mem.code_watch = lambda addr, nbytes: seen.append((addr, nbytes))
         mem.write_word_raw(0x10, 1)
         mem.flip_bit(0x20, 3)
-        assert seen == [0x10, 0x20]
+        assert seen == [(0x10, 4), (0x20, 4)]
 
     def test_bulk_store_notifies_range_once(self):
         mem = Memory(size=1 << 16)
         ranges = []
-        mem.code_watch_range = lambda addr, nbytes: ranges.append(
-            (addr, nbytes))
+        mem.code_watch = lambda addr, nbytes: ranges.append((addr, nbytes))
         mem.write_words_raw(0x200, list(range(64)))
         assert ranges == [(0x200, 256)]
         mem.write_words_raw(0x800, [1, 2])
         assert ranges == [(0x200, 256), (0x800, 8)]
-
-    def test_bulk_store_without_range_observer_notifies_each_word(self):
-        mem = Memory(size=4096)
-        seen = []
-        mem.code_watch = seen.append
-        mem.write_words_raw(0x100, [1, 2, 3])
-        assert seen == [0x100, 0x104, 0x108]
-        assert mem.read_words_raw(0x100, 3) == (1, 2, 3)
 
     def test_bulk_store_bounds_and_alignment_checked(self):
         mem = Memory(size=4096)

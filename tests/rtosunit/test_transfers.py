@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cores.base import BaseCore
 from repro.isa import csr as csrmod
 from repro.isa.csr import CSRFile
 from repro.isa.custom import CustomOp
@@ -18,12 +19,19 @@ class _StubCore:
         self.csr = CSRFile()
         self.dirty_mask = 0
 
+    rtosunit_frame_cost = BaseCore.rtosunit_frame_cost
 
-def make_unit(config_name="SL"):
+
+class _SlowPortCore(_StubCore):
+    def rtosunit_frame_cost(self, slot, words, is_write):
+        return 3 * len(words)
+
+
+def make_unit(config_name="SL", core_class=_StubCore):
     unit = RTOSUnit(parse_config(config_name), Memory(size=1 << 17),
                     MemoryTimeline(), ContextRegion(base=0x8000,
                                                     max_tasks=8))
-    unit.attach(_StubCore())
+    unit.attach(core_class())
     return unit
 
 
@@ -91,16 +99,15 @@ class TestArbitrationPriority:
         busy_done = busy_unit.on_mret(2)
         assert busy_done > idle_done
 
-    def test_word_cost_hook_scales_transfer_time(self):
-        """NaxRiscv-style per-word costs (cache misses) stretch the FSM."""
+    def test_frame_cost_hook_scales_transfer_time(self):
+        """NaxRiscv-style frame costs (cache misses) stretch the FSM."""
         cheap = make_unit("SL")
         cheap.boot(0)
         cheap.on_interrupt_entry(0, csrmod.CAUSE_MSI)
         cheap.exec_custom(CustomOp.SET_CONTEXT_ID, 1, 0, 1)
         cheap_done = cheap.on_mret(2)
 
-        expensive = make_unit("SL")
-        expensive.word_cost = lambda addr, is_write: 3
+        expensive = make_unit("SL", _SlowPortCore)
         expensive.boot(0)
         expensive.on_interrupt_entry(0, csrmod.CAUSE_MSI)
         expensive.exec_custom(CustomOp.SET_CONTEXT_ID, 1, 0, 1)

@@ -1,8 +1,13 @@
 """RTOSUnit functional behaviour with a stub core attached."""
 
-import pytest
+import copy
+import itertools
 
-from repro.errors import SimulationError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cores.base import BaseCore
+from repro.errors import ConfigurationError, SimulationError
 from repro.isa import csr as csrmod
 from repro.isa.csr import CSRFile
 from repro.isa.custom import CustomOp
@@ -23,6 +28,33 @@ class _StubCore:
         self.app_bank = [0] * 32
         self.csr = CSRFile()
         self.dirty_mask = 0
+
+    rtosunit_frame_cost = BaseCore.rtosunit_frame_cost
+
+
+def _dirty_configs():
+    """Every valid letter configuration with dirty bits (D)."""
+    names = []
+    for count in range(2, 7):
+        for letters in itertools.combinations("SDLOTY", count):
+            name = "".join(letters)
+            if "D" not in name:
+                continue
+            try:
+                parse_config(name)
+            except ConfigurationError:
+                continue
+            names.append(name)
+    return names
+
+
+DIRTY_CONFIGS = _dirty_configs()
+
+
+def _unit_state(unit):
+    return (copy.deepcopy(unit.scheduler), copy.deepcopy(unit.hwsync),
+            copy.deepcopy(unit._pending), vars(unit.stats).copy(),
+            unit.current_task_id)
 
 
 def make_unit(config_name, list_length=8):
@@ -163,6 +195,39 @@ class TestDirtyBits:
         unit.on_interrupt_entry(0, csrmod.CAUSE_MSI)
         assert unit.memory.read_word_raw(slot) == 0x111
 
+    @settings(max_examples=80, deadline=None)
+    @given(config=st.sampled_from(DIRTY_CONFIGS),
+           mask=st.integers(0, (1 << 32) - 1), task=st.integers(0, 7))
+    def test_store_writes_exactly_the_dirty_frame(self, config, mask, task):
+        """Under every (D) config the store writes the dirty registers,
+        MSTATUS and MEPC, and nothing else: clean words of the slot, its
+        padding word and the neighbouring slots keep what they held."""
+        unit, core = make_unit(config)
+        unit.boot(task)
+        base = unit.region.base
+        size = unit.region.size // 4
+        old = [0xC0DE_0000 + index for index in range(size)]
+        unit.memory.write_words_raw(base, old)
+        for reg in range(32):
+            core.app_bank[reg] = 0x5000 + reg
+        core.csr.write(csrmod.MSTATUS, 0x1888)
+        core.csr.write(csrmod.MEPC, 0x4444)
+        core.dirty_mask = mask
+        unit.on_interrupt_entry(0, csrmod.CAUSE_MSI)
+        dirty = [index for index, reg in enumerate(CONTEXT_REG_ORDER)
+                 if (mask >> reg) & 1]
+        expected = list(old)
+        first = (unit.region.slot_addr(task) - base) // 4
+        for index in dirty:
+            expected[first + index] = 0x5000 + CONTEXT_REG_ORDER[index]
+        expected[first + MSTATUS_SLOT_INDEX] = 0x1888
+        expected[first + MEPC_SLOT_INDEX] = 0x4444
+        assert list(unit.memory.read_words_raw(base, size)) == expected
+        assert unit.stats.words_stored == len(dirty) + 2
+        assert unit.stats.dirty_words_skipped == (len(CONTEXT_REG_ORDER)
+                                                  - len(dirty))
+        assert unit._pending[-1].cost == len(dirty) + 2
+
 
 class TestHardwareScheduling:
     def test_get_hw_sched_returns_head(self):
@@ -197,6 +262,30 @@ class TestHardwareScheduling:
             unit.exec_custom(CustomOp.ADD_READY, 0, 1, cycle=0)
         with pytest.raises(SimulationError):
             unit.exec_custom(CustomOp.GET_HW_SCHED, 0, 0, cycle=0)
+
+    @pytest.mark.parametrize("op, config, needs", [
+        (CustomOp.ADD_READY, "S", "hardware scheduling (T)"),
+        (CustomOp.ADD_DELAY, "SL", "hardware scheduling (T)"),
+        (CustomOp.RM_TASK, "SD", "hardware scheduling (T)"),
+        (CustomOp.GET_HW_SCHED, "CV32RT", "hardware scheduling (T)"),
+        (CustomOp.SEM_TAKE, "SLT",
+         "the hardware synchronisation extension (Y)"),
+        (CustomOp.SEM_GIVE, "S",
+         "the hardware synchronisation extension (Y)"),
+    ])
+    def test_absent_extension_names_it_and_leaves_the_unit(self, op, config,
+                                                          needs):
+        unit, _ = make_unit(config)
+        unit.boot(1)
+        if unit.scheduler is not None:
+            unit.exec_custom(CustomOp.ADD_READY, 1, 3, cycle=0)
+        before = _unit_state(unit)
+        with pytest.raises(SimulationError) as raised:
+            unit.exec_custom(op, 1, 2, cycle=5)
+        assert str(raised.value) == (f"{op.name} needs {needs}; config is "
+                                     f"{unit.config.name}")
+        assert _unit_state(unit) == before
+        assert op not in unit.fast_custom_handlers()
 
     def test_add_delay_without_current_raises(self):
         unit, _ = make_unit("T")
